@@ -13,7 +13,7 @@ from .activations import (ACTIVATION_ORDER, Activation, Arctangent,
 from .datagen import PRESETS, Sample, TaskConfig, generate, kfold_split, stack
 from .estimator import PixelClassifier
 from .exceptions import (DegenerateBoundsWarning, EmptyDiagramError,
-                         NotFittedError)
+                         NonFiniteBoundsError, NotFittedError)
 from .harness import (ExperimentConfig, RunRecord, SummaryTables,
                       emit_report, run_experiment, run_grid, summarize)
 from .losses import (LOSS_ORDER, BinaryCrossEntropy, Loss, MeanSquaredError,
@@ -34,7 +34,8 @@ __all__ = [
     "Softsign", "clamp_probability", "make_activation",
     "PRESETS", "Sample", "TaskConfig", "generate", "kfold_split", "stack",
     "PixelClassifier",
-    "DegenerateBoundsWarning", "EmptyDiagramError", "NotFittedError",
+    "DegenerateBoundsWarning", "EmptyDiagramError", "NonFiniteBoundsError",
+    "NotFittedError",
     "ExperimentConfig", "RunRecord", "SummaryTables", "emit_report",
     "run_experiment", "run_grid", "summarize",
     "LOSS_ORDER", "BinaryCrossEntropy", "Loss", "MeanSquaredError",

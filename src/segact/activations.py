@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .erf import erf
-from .exceptions import DegenerateBoundsWarning
+from .exceptions import DegenerateBoundsWarning, NonFiniteBoundsError
 
 CLAMP_LO = 1e-7
 CLAMP_HI = 1.0 - 1e-7
@@ -260,7 +260,7 @@ class Linear(Activation):
     @staticmethod
     def _check_bounds(lo, hi):
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("rescale bounds must be finite")
+            raise NonFiniteBoundsError("rescale bounds must be finite")
         if np.any(np.asarray(lo) > np.asarray(hi)):
             raise ValueError("rescale bounds require x_min <= x_max")
 

@@ -10,14 +10,15 @@ validation dice coefficient at threshold 0.5.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import CLAMP_HI, CLAMP_LO, Activation, Linear
-from .losses import Loss, SoftDice
+from .activations import CLAMP_HI, CLAMP_LO, Activation
+from .losses import Loss, _logit_head
 from .metrics import dice_at_threshold
-from .validation import check_prediction_target
+from .validation import check_image_stack
 
 Layers = list  # list of (weights, bias) pairs
 
@@ -83,14 +84,47 @@ def forward(layers: Layers, features) -> np.ndarray:
             f"feature width {a.shape[1]} does not match first layer "
             f"input size {layers[0][0].shape[1]}")
     for w, b in layers[:-1]:
-        a = np.maximum(a @ w.T + b, 0.0)
+        a = a @ w.T
+        a += b
+        np.maximum(a, 0.0, out=a)
     w, b = layers[-1]
-    return (a @ w.T + b)[:, 0]
+    a = a @ w.T
+    a += b
+    return a[:, 0]
+
+
+def _step_buffers(workspace: dict, n_rows: int, layers: Layers):
+    """Scratch arrays of one batch shape, made on first use.
+
+    ``inputs[k]`` is the input of layer k with a ones column appended, so
+    every bias rides in its weight matrix: the batch for layer 0, the
+    ReLU output (later the ReLU mask) of hidden layer k - 1 otherwise.
+    ReLU and the mask both map the ones column to itself.
+    """
+    key = (n_rows, *(w.shape for w, _ in layers))
+    buffers = workspace.get(key)
+    if buffers is None:
+        inputs = [np.ones((n_rows, w.shape[1] + 1)) for w, _ in layers]
+        scaled = np.empty_like(inputs[-2]) if len(layers) > 1 else None
+        buffers = workspace[key] = inputs, scaled
+    return buffers
 
 
 def backward(layers: Layers, features, y, activation: Activation,
-             loss: Loss, bounds=None):
+             loss: Loss, bounds=None, workspace: dict | None = None):
     """Gradients of the composed loss for every parameter.
+
+    ``features`` is a flat (pixels, d) batch or an (images, pixels, d)
+    stack, with ``y`` of the matching shape.  A stack groups the pixels
+    by image: soft dice is taken per image and averaged, and the linear
+    activation's rescale context comes from each image or from the whole
+    batch as its ``scope`` says.  A flat batch is one group.  With
+    ``bounds=None`` the context comes from the step's own logits.
+
+    Inputs are not validated here; the trainer checks them once on entry
+    and non-finite values surface in the loss or the gradients.
+    ``workspace`` is a dict in which scratch buffers are kept between
+    calls; one dict serves one thread.
 
     Returns ``(grads, loss_value)`` where grads mirrors the layer list.
     The clamp is treated as a stop: pixels whose raw activation fell
@@ -98,33 +132,49 @@ def backward(layers: Layers, features, y, activation: Activation,
     subgradient 0 at 0.
     """
     x = np.asarray(features, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    pre = []
-    acts = [x]
-    a = x
-    if x.shape[1] != layers[0][0].shape[1]:
+    if x.shape[-1] != layers[0][0].shape[1]:
         raise ValueError("feature width does not match the first layer")
-    for w, b in layers[:-1]:
-        z = a @ w.T + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
-    w, b = layers[-1]
-    logits = (a @ w.T + b)[:, 0]
+    groups = x.shape[:-1]
+    inputs, scaled = _step_buffers({} if workspace is None else workspace,
+                                   math.prod(groups), layers)
+    inputs[0][:, :-1] = x.reshape(-1, x.shape[-1])
+    augmented = [np.column_stack((w, b)) for w, b in layers]
+    for k, w in enumerate(augmented[:-1]):
+        h = inputs[k + 1]
+        np.matmul(inputs[k], w.T, out=h[:, :-1])
+        np.maximum(h, 0.0, out=h)
+    logits = inputs[-1] @ augmented[-1][0]
 
-    p_raw = np.asarray(activation(logits, bounds=bounds), dtype=float)
-    p = np.clip(p_raw, CLAMP_LO, CLAMP_HI)
-    value = loss.value(p, y)
-    passthru = (p_raw >= CLAMP_LO) & (p_raw <= CLAMP_HI)
-    delta = loss.grad(p, y) * activation.derivative(logits, bounds=bounds)
-    delta = (delta * passthru)[:, None]
+    value, g = _logit_head(activation, loss, logits.reshape(groups),
+                           np.reshape(y, groups), bounds)
+    g = g.reshape(-1)
 
     grads: Layers = [None] * len(layers)
-    for k in reversed(range(len(layers))):
-        grads[k] = (delta.T @ acts[k], delta.sum(axis=0))
-        if k:
-            delta = (delta @ layers[k][0]) * (pre[k - 1] > 0.0)
-    return grads, float(value)
+    top = g @ inputs[-1]
+    grads[-1] = (top[None, :-1], top[-1:])
+    # The output layer has one unit, so the top hidden layer's delta is
+    # the rank-1 outer(g, w) times its ReLU mask M, and its gradient is
+    # w * (M.T @ (g * input)): the (pixels x width) delta is never formed.
+    # Deeper layers take the plain chain rule with an explicit delta.
+    # Each hidden output turns into its mask once it has served as input.
+    w_out = layers[-1][0][0]
+    for k in reversed(range(len(layers) - 1)):
+        np.greater(inputs[k + 1], 0.0, out=inputs[k + 1])
+        mask = inputs[k + 1][:, :-1]
+        if k == len(layers) - 2:
+            np.multiply(inputs[k], g[:, None], out=scaled)
+            # (S.T @ M).T reads the mask in memory order, unlike M.T @ S.
+            grad_wb = (scaled.T @ inputs[k + 1]).T[:-1]
+            grad_wb *= w_out[:, None]
+            if k:
+                delta = mask * g[:, None]
+                delta *= w_out
+        else:
+            delta = delta @ layers[k + 1][0]
+            delta *= mask
+            grad_wb = delta.T @ inputs[k]
+        grads[k] = (grad_wb[:, :-1], grad_wb[:, -1])
+    return grads, value
 
 
 @dataclass
@@ -186,38 +236,6 @@ class TrainHistory:
         return len(self.epochs)
 
 
-class _PerImageSoftDice(Loss):
-    """Soft dice per image, averaged over the batch.
-
-    Adapter so flat (batch * pixels) arrays can be trained with one dice
-    term per image, keeping the loss scale independent of batch size.
-    """
-
-    name = "dice"
-
-    def __init__(self, pixels_per_image: int, denom_epsilon: float):
-        self.pixels_per_image = int(pixels_per_image)
-        self.denom_epsilon = float(denom_epsilon)
-
-    def _reshape(self, yhat, y):
-        yhat, y = check_prediction_target(yhat, y)
-        p = yhat.reshape(-1, self.pixels_per_image)
-        t = y.reshape(-1, self.pixels_per_image)
-        inter = (p * t).sum(axis=1)
-        denom = p.sum(axis=1) + t.sum(axis=1) + self.denom_epsilon
-        return p, t, inter, denom
-
-    def value(self, yhat, y):
-        _, _, inter, denom = self._reshape(yhat, y)
-        return float(np.mean(1.0 - 2.0 * inter / denom))
-
-    def grad(self, yhat, y):
-        p, t, inter, denom = self._reshape(yhat, y)
-        g = (2.0 * inter[:, None] - 2.0 * t * denom[:, None]) / \
-            (denom * denom)[:, None]
-        return g.ravel() / p.shape[0]
-
-
 def _predict_probabilities(layers, images, activation):
     """Clamped probabilities per image with per-image rescale context."""
     n_images, n_pixels, d = images.shape
@@ -242,22 +260,20 @@ def train_network(layers: Layers, train_images, train_masks, val_images,
     coefficient at threshold 0.5.  Returns ``(best_layers, history)``
     where ``best_layers`` are the parameters of the best-monitor epoch.
 
-    A non-finite loss or gradient aborts the run: the history is flagged
-    as not converged and the best parameters seen so far are returned.
+    Images and masks are validated here, once; each batch trains as an
+    (images, pixels, features) stack, so soft dice is per image.  A
+    non-finite loss, gradient, rescale context or validation result
+    aborts the run: the history is flagged as not converged and the best
+    parameters seen so far are returned.
     """
-    train_images = np.asarray(train_images, dtype=float)
-    train_masks = np.asarray(train_masks, dtype=float)
-    val_images = np.asarray(val_images, dtype=float)
-    val_masks = np.asarray(val_masks, dtype=float)
+    train_images, train_masks = check_image_stack(train_images, train_masks)
+    val_images, val_masks = check_image_stack(val_images, val_masks)
     if monitor is None:
         monitor = pooled_validation_dice
 
     n_train, n_pixels, d = train_images.shape
-    if val_images.ndim != 3 or val_images.shape[1:] != (n_pixels, d):
+    if val_images.shape[1:] != (n_pixels, d):
         raise ValueError("validation images must match the training shape")
-    train_loss = loss
-    if isinstance(loss, SoftDice):
-        train_loss = _PerImageSoftDice(n_pixels, loss.denom_epsilon)
 
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
@@ -266,52 +282,35 @@ def train_network(layers: Layers, train_images, train_masks, val_images,
     best_layers = copy.deepcopy(layers)
     plateau = 0
     stagnant = 0
+    workspace = {}
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(n_train)
         batch_losses = []
-        failed = False
-        for start in range(0, n_train, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            xb = train_images[idx].reshape(-1, d)
-            yb = train_masks[idx].ravel()
-            bounds = None
-            if isinstance(activation, Linear):
-                logits = forward(layers, xb)
-                bounds = activation.training_bounds(
-                    logits.reshape(len(idx), n_pixels))
-                if isinstance(bounds[0], np.ndarray):
-                    bounds = (np.repeat(bounds[0].ravel(), n_pixels),
-                              np.repeat(bounds[1].ravel(), n_pixels))
-            try:
-                grads, batch_loss = backward(layers, xb, yb, activation,
-                                             train_loss, bounds=bounds)
+        try:
+            for start in range(0, n_train, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                grads, batch_loss = backward(
+                    layers, train_images[idx], train_masks[idx], activation,
+                    loss, workspace=workspace)
                 if not np.isfinite(batch_loss):
                     raise FloatingPointError("non-finite loss")
                 adam_step(layers, grads, state, lr,
                           cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-            except FloatingPointError:
-                failed = True
-                break
-            batch_losses.append(batch_loss)
+                batch_losses.append(batch_loss)
 
-        if failed:
-            history.converged = False
-            history.stopped = "diverged"
-            break
-
-        try:
             val_probs = _predict_probabilities(layers, val_images, activation)
-            val_loss = train_loss.value(val_probs.ravel(), val_masks.ravel())
+            val_loss = loss._value(val_probs, val_masks)
             val_metric = float(monitor(val_probs, val_masks))
-            if not np.isfinite(val_metric):
-                raise FloatingPointError("non-finite validation metric")
+            if not (np.isfinite(val_loss) and np.isfinite(val_metric)):
+                raise FloatingPointError("non-finite validation result")
         except FloatingPointError:
             history.converged = False
             history.stopped = "diverged"
             break
 
         improved = val_metric > history.best_val_dice + IMPROVEMENT_DELTA
+        epoch_lr = lr
         reduced = False
         if improved:
             history.best_val_dice = val_metric
@@ -334,7 +333,7 @@ def train_network(layers: Layers, train_images, train_masks, val_images,
             train_loss=float(np.mean(batch_losses)),
             val_loss=float(val_loss),
             val_dice=val_metric,
-            lr=lr if not reduced else lr / cfg.lr_factor,
+            lr=epoch_lr,
             stagnant=stagnant,
             lr_reduced=reduced,
         ))

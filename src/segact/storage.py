@@ -43,21 +43,37 @@ def save_weights(path, layers) -> None:
             fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
+def _size_mismatch(path, expected, found):
+    return ValueError(f"{path}: expected {expected} bytes from the header, "
+                      f"found {found}")
+
+
 def load_weights(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != WEIGHTS_MAGIC:
-            raise ValueError(f"bad weights file magic {magic!r}")
-        version, n_layers = struct.unpack("<II", fh.read(8))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported weights version {version}")
-        layers = []
-        for _ in range(n_layers):
-            in_size, out_size = struct.unpack("<II", fh.read(8))
-            w = np.frombuffer(fh.read(8 * in_size * out_size),
-                              dtype="<f8").reshape(out_size, in_size)
-            b = np.frombuffer(fh.read(8 * out_size), dtype="<f8")
-            layers.append((w.astype(float), b.astype(float)))
+    """Read an ACTS file; the byte count must match its header."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != WEIGHTS_MAGIC:
+        raise ValueError(f"{path}: bad weights file magic {raw[:4]!r}")
+    if len(raw) < 12:
+        raise _size_mismatch(path, 12, len(raw))
+    version, n_layers = struct.unpack_from("<II", raw, 4)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported weights version {version}")
+    layers, offset = [], 12
+    for _ in range(n_layers):
+        if len(raw) < offset + 8:
+            raise _size_mismatch(path, offset + 8, len(raw))
+        in_size, out_size = struct.unpack_from("<II", raw, offset)
+        offset += 8
+        end = offset + 8 * out_size * (in_size + 1)
+        if len(raw) < end:
+            raise _size_mismatch(path, end, len(raw))
+        values = np.frombuffer(raw, dtype="<f8", count=(end - offset) // 8,
+                               offset=offset).astype(float)
+        layers.append((values[:-out_size].reshape(out_size, in_size),
+                       values[-out_size:]))
+        offset = end
+    if len(raw) != offset:
+        raise _size_mismatch(path, offset, len(raw))
     return layers
 
 
@@ -96,29 +112,39 @@ def save_dataset(out_dir, samples, cfg: TaskConfig) -> Path:
 
 
 def load_dataset(path):
-    """Read an ACTD file back into samples; verifies the magic bytes."""
+    """Read an ACTD file back into samples.
+
+    Checks the magic bytes, the byte count against the header and, when
+    a ``manifest.json`` sits next to the file, its sha256; any mismatch
+    raises a one-line ``ValueError`` naming the file.
+    """
     path = Path(path)
     if path.is_dir():
         path = path / "data.actd"
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != DATASET_MAGIC:
-            raise ValueError(f"bad dataset file magic {magic!r}")
-        version, n_images, side, n_features = struct.unpack("<IIII",
-                                                            fh.read(16))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
-        n_pixels = side * side
-        samples = []
-        for _ in range(n_images):
-            features = np.frombuffer(fh.read(8 * n_pixels * n_features),
-                                     dtype="<f8").reshape(n_pixels,
-                                                          n_features)
-            mask = np.frombuffer(fh.read(n_pixels), dtype=np.uint8)
-            samples.append(Sample(features=features.astype(float),
-                                  mask=mask.copy(),
-                                  foreground_fraction=float(mask.mean())))
-    return samples
+    raw = path.read_bytes()
+    if raw[:4] != DATASET_MAGIC:
+        raise ValueError(f"{path}: bad dataset file magic {raw[:4]!r}")
+    if len(raw) < 20:
+        raise _size_mismatch(path, 20, len(raw))
+    version, n_images, side, n_features = struct.unpack_from("<IIII", raw, 4)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported dataset version {version}")
+    n_pixels = side * side
+    image = np.dtype([("features", "<f8", (n_pixels, n_features)),
+                      ("mask", np.uint8, (n_pixels,))])
+    expected = 20 + n_images * image.itemsize
+    if len(raw) != expected:
+        raise _size_mismatch(path, expected, len(raw))
+    manifest = path.parent / "manifest.json"
+    if manifest.is_file():
+        digest = json.loads(manifest.read_text(encoding="utf-8")).get("sha256")
+        if hashlib.sha256(raw).hexdigest() != digest:
+            raise ValueError(f"{path}: sha256 does not match {manifest}")
+    images = np.frombuffer(raw, dtype=image, count=n_images, offset=20)
+    return [Sample(features=im["features"].astype(float),
+                   mask=im["mask"].copy(),
+                   foreground_fraction=float(im["mask"].mean()))
+            for im in images]
 
 
 def write_records(path, records) -> None:

@@ -7,6 +7,11 @@ real defect rather than shared arithmetic.
 """
 import numpy as np
 
+from segact.activations import CLAMP_HI, CLAMP_LO, Linear
+from segact.losses import Loss, SoftDice
+from segact.network import forward
+from segact.validation import check_prediction_target
+
 SWEEP = [k / 20 for k in range(21)]
 
 
@@ -120,3 +125,94 @@ def finite_difference(fn, x0, h=1e-5):
         step[i] = h
         grad[i] = (fn(x0 + step) - fn(x0 - step)) / (2.0 * h)
     return grad
+
+
+# The train step as it was before the buffered rewrite: a flat batch, a
+# per-image soft dice adapter, and the linear rescale context taken from
+# a second forward pass and repeated per pixel.  ``backward_reference``
+# is the earlier ``network.backward`` unchanged.
+
+def backward_reference(layers, features, y, activation, loss, bounds=None):
+    """Gradients of the composed loss for every parameter.
+
+    Returns ``(grads, loss_value)`` where grads mirrors the layer list.
+    The clamp is treated as a stop: pixels whose raw activation fell
+    outside [1e-7, 1 - 1e-7] contribute zero gradient.  ReLU uses
+    subgradient 0 at 0.
+    """
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    pre = []
+    acts = [x]
+    a = x
+    if x.shape[1] != layers[0][0].shape[1]:
+        raise ValueError("feature width does not match the first layer")
+    for w, b in layers[:-1]:
+        z = a @ w.T + b
+        pre.append(z)
+        a = np.maximum(z, 0.0)
+        acts.append(a)
+    w, b = layers[-1]
+    logits = (a @ w.T + b)[:, 0]
+
+    p_raw = np.asarray(activation(logits, bounds=bounds), dtype=float)
+    p = np.clip(p_raw, CLAMP_LO, CLAMP_HI)
+    value = loss.value(p, y)
+    passthru = (p_raw >= CLAMP_LO) & (p_raw <= CLAMP_HI)
+    delta = loss.grad(p, y) * activation.derivative(logits, bounds=bounds)
+    delta = (delta * passthru)[:, None]
+
+    grads = [None] * len(layers)
+    for k in reversed(range(len(layers))):
+        grads[k] = (delta.T @ acts[k], delta.sum(axis=0))
+        if k:
+            delta = (delta @ layers[k][0]) * (pre[k - 1] > 0.0)
+    return grads, float(value)
+
+
+class PerImageSoftDiceReference(Loss):
+    """Soft dice per image of a flat (batch * pixels) array, averaged."""
+
+    name = "dice"
+
+    def __init__(self, pixels_per_image, denom_epsilon):
+        self.pixels_per_image = int(pixels_per_image)
+        self.denom_epsilon = float(denom_epsilon)
+
+    def _reshape(self, yhat, y):
+        yhat, y = check_prediction_target(yhat, y)
+        p = yhat.reshape(-1, self.pixels_per_image)
+        t = y.reshape(-1, self.pixels_per_image)
+        inter = (p * t).sum(axis=1)
+        denom = p.sum(axis=1) + t.sum(axis=1) + self.denom_epsilon
+        return p, t, inter, denom
+
+    def value(self, yhat, y):
+        _, _, inter, denom = self._reshape(yhat, y)
+        return float(np.mean(1.0 - 2.0 * inter / denom))
+
+    def grad(self, yhat, y):
+        p, t, inter, denom = self._reshape(yhat, y)
+        g = (2.0 * inter[:, None] - 2.0 * t * denom[:, None]) / \
+            (denom * denom)[:, None]
+        return g.ravel() / p.shape[0]
+
+
+def train_step_reference(layers, images, masks, activation, loss):
+    """``backward_reference`` on an (images, pixels, d) batch, set up as
+    the earlier trainer set up each batch."""
+    n_images, n_pixels, d = images.shape
+    xb = images.reshape(-1, d)
+    yb = masks.ravel()
+    if isinstance(loss, SoftDice):
+        loss = PerImageSoftDiceReference(n_pixels, loss.denom_epsilon)
+    bounds = None
+    if isinstance(activation, Linear):
+        logits = forward(layers, xb)
+        bounds = activation.training_bounds(
+            logits.reshape(n_images, n_pixels))
+        if isinstance(bounds[0], np.ndarray):
+            bounds = (np.repeat(bounds[0].ravel(), n_pixels),
+                      np.repeat(bounds[1].ravel(), n_pixels))
+    return backward_reference(layers, xb, yb, activation, loss,
+                              bounds=bounds)

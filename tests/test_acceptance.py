@@ -209,6 +209,6 @@ def test_criterion_7_training_protocol():
     assert reductions == [cfg.plateau_patience + 1]
     lrs = [r.lr for r in history.epochs]
     assert lrs[:6] == [cfg.learning_rate] * 6
-    assert lrs[6:] == pytest.approx([cfg.learning_rate * cfg.lr_factor] * 5)
+    assert lrs[6:] == [cfg.learning_rate * cfg.lr_factor] * 5
     print(f"\nACCEPTANCE 7 PASS: {history.n_epochs} epochs, one LR cut at "
           f"epoch {reductions[0]}, factor {cfg.lr_factor}")

@@ -4,7 +4,8 @@ import copy
 import numpy as np
 import pytest
 
-from oracles import (finite_difference, flatten_layers, forward_bruteforce,
+from oracles import (backward_reference, finite_difference, flatten_layers,
+                     forward_bruteforce, train_step_reference,
                      unflatten_layers)
 from segact import (TrainConfig, adam_init, adam_step, backward, forward,
                     init_layers, make_activation, make_loss, train_network)
@@ -98,6 +99,17 @@ class TestForward:
                                    forward_bruteforce(layers, X),
                                    rtol=1e-12)
 
+    def test_bitwise_equal_to_out_of_place_form(self):
+        # The in-place passes do the same operations in the same order.
+        rng = np.random.default_rng(4)
+        layers = init_layers([3, 9, 5, 1], 2)
+        X = rng.normal(size=(300, 3))
+        a = X
+        for w, b in layers[:-1]:
+            a = np.maximum(a @ w.T + b, 0.0)
+        w, b = layers[-1]
+        np.testing.assert_array_equal(forward(layers, X), (a @ w.T + b)[:, 0])
+
     def test_dimension_mismatch(self):
         layers = init_layers([3, 4, 1], 0)
         with pytest.raises(ValueError):
@@ -118,6 +130,49 @@ class TestBackward:
             flat, h=1e-5)
         np.testing.assert_allclose(flatten_layers(grads), fd,
                                    rtol=1e-4, atol=1e-7)
+
+    @pytest.mark.parametrize("act_name,loss_name", ALL_COMBOS)
+    def test_matches_previous_step(self, act_name, loss_name):
+        """Equal to the earlier train step, which took a flat batch with a
+        per-image dice adapter and a second forward pass for the linear
+        context: image stacks (full and partial batches through one
+        workspace), flat batches, and nets with one and two hidden layers.
+
+        Summation order differs, so each layer is held to rtol 1e-12 with
+        an absolute floor of 1e-12 times its largest entry (a reordered
+        sum that cancels keeps only that absolute accuracy)."""
+        loss = make_loss(loss_name)
+        scopes = ("image", "batch") if act_name == "linear" else (None,)
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(7, 30, 3))
+        y = (rng.random((7, 30)) < 0.4).astype(float)
+        for sizes in ([3, 16, 1], [3, 8, 6, 1]):
+            layers = init_layers(sizes, 5)
+            for scope in scopes:
+                activation = make_activation(
+                    act_name, **({"scope": scope} if scope else {}))
+                workspace = {}
+                for batch in (slice(0, 4), slice(4, 7), slice(0, 4)):
+                    got = backward(layers, X[batch], y[batch], activation,
+                                   loss, workspace=workspace)
+                    want = train_step_reference(layers, X[batch], y[batch],
+                                                activation, loss)
+                    self.assert_same_step(got, want)
+                flat_X, flat_y = X[:4].reshape(-1, 3), y[:4].ravel()
+                self.assert_same_step(
+                    backward(layers, flat_X, flat_y, activation, loss),
+                    backward_reference(layers, flat_X, flat_y, activation,
+                                       loss))
+
+    @staticmethod
+    def assert_same_step(got, want):
+        (grads, value), (ref_grads, ref_value) = got, want
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+        for (gw, gb), (rw, rb) in zip(grads, ref_grads):
+            for g, r in ((gw, rw), (gb, rb)):
+                assert g.shape == r.shape
+                np.testing.assert_allclose(
+                    g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
 
     def test_perfect_prediction_has_tiny_gradients(self):
         # Force logits deep into saturation so predictions equal targets.
@@ -269,16 +324,48 @@ class TestTrainLoop:
     def test_divergence_is_flagged_not_raised(self):
         rng = np.random.default_rng(2)
         X, y = separable_task(rng, n_images=6, n_pixels=16)
-        layers = init_layers([2, 3, 1], 0)
         # A learning rate at the float64 limit overflows the weights.
         cfg = TrainConfig(learning_rate=1e308, seed=0, max_epochs=50)
-        best, history = train_network(layers, X[:4], y[:4], X[4:], y[4:],
-                                      make_activation("sigmoid"),
-                                      make_loss("mse"), cfg)
+        for act_name, loss_name in ALL_COMBOS:
+            layers = init_layers([2, 3, 1], 0)
+            best, history = train_network(layers, X[:4], y[:4], X[4:],
+                                          y[4:], make_activation(act_name),
+                                          make_loss(loss_name), cfg)
+            combo = f"{act_name}+{loss_name}"
+            assert not history.converged, combo
+            assert history.stopped == "diverged", combo
+            for w, b in best:
+                assert np.all(np.isfinite(w)) and np.all(np.isfinite(b)), \
+                    combo
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_context_is_flagged(self):
+        # Training logits stay finite; validation features large enough
+        # to overflow the logits give the linear activation an infinite
+        # rescale context in the per-epoch predict.
+        rng = np.random.default_rng(6)
+        X, y = separable_task(rng, n_images=6, n_pixels=16)
+        X_val = np.clip(X[4:], -1.0, 1.0) * 1e308
+        layers = init_layers([2, 3, 1], 0)
+        layers[-1] = (100.0 * layers[-1][0], layers[-1][1])
+        assert not np.all(np.isfinite(forward(layers, X_val.reshape(-1, 2))))
+        _, history = train_network(layers, X[:4], y[:4], X_val, y[4:],
+                                   make_activation("linear"),
+                                   make_loss("bce"),
+                                   TrainConfig(seed=0, max_epochs=5))
         assert not history.converged
         assert history.stopped == "diverged"
-        for w, b in best:
-            assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
+        assert history.n_epochs == 0
+
+    def test_masks_validated_on_entry(self):
+        rng = np.random.default_rng(7)
+        X, y = separable_task(rng, n_images=6, n_pixels=16)
+        y[0, 0] = 0.5
+        layers = init_layers([2, 3, 1], 0)
+        with pytest.raises(ValueError, match="0 and 1"):
+            train_network(layers, X[:4], y[:4], X[4:], y[4:],
+                          make_activation("sigmoid"), make_loss("bce"),
+                          TrainConfig(seed=0, max_epochs=2))
 
     def test_non_finite_monitor_is_flagged(self):
         rng = np.random.default_rng(4)

@@ -34,6 +34,21 @@ class TestWeights:
         in_size, out_size = struct.unpack("<II", raw[12:20])
         assert (in_size, out_size) == (2, 4)
 
+    @pytest.mark.parametrize("cut", [1, 8, 100])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        path = tmp_path / "model.acts"
+        save_weights(path, init_layers([3, 16, 1], 0))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="model.acts: expected"):
+            load_weights(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.acts"
+        save_weights(path, init_layers([3, 4, 1], 0))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match="model.acts: expected"):
+            load_weights(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.acts"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -58,6 +73,41 @@ class TestDataset:
         for s, s2 in zip(samples, loaded):
             np.testing.assert_array_equal(s.features, s2.features)
             np.testing.assert_array_equal(s.mask, s2.mask)
+
+    @staticmethod
+    def saved(tmp_path):
+        cfg = TaskConfig(n_images=3, image_side=8, noise_sigma=0.3, seed=5)
+        data_path = save_dataset(tmp_path / "ds", generate(cfg), cfg)
+        return data_path, data_path.read_bytes()
+
+    def test_flipped_byte_rejected(self, tmp_path):
+        data_path, raw = self.saved(tmp_path)
+        raw = bytearray(raw)
+        raw[100] ^= 0x01
+        data_path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="data.actd: sha256"):
+            load_dataset(tmp_path / "ds")
+
+    def test_cut_mid_image_rejected(self, tmp_path):
+        data_path, raw = self.saved(tmp_path)
+        data_path.write_bytes(raw[:len(raw) // 2])
+        with pytest.raises(ValueError, match="data.actd: expected"):
+            load_dataset(tmp_path / "ds")
+
+    def test_cut_at_image_boundary_rejected(self, tmp_path):
+        data_path, raw = self.saved(tmp_path)
+        per_image = 64 * 3 * 8 + 64
+        assert (len(raw) - 20) == 3 * per_image
+        data_path.write_bytes(raw[:20 + 2 * per_image])
+        with pytest.raises(ValueError, match="data.actd: expected"):
+            load_dataset(tmp_path / "ds")
+
+    def test_errors_are_one_line(self, tmp_path):
+        data_path, raw = self.saved(tmp_path)
+        data_path.write_bytes(raw[:10])
+        with pytest.raises(ValueError) as err:
+            load_dataset(data_path)
+        assert "\n" not in str(err.value)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "data.actd"
