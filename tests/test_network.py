@@ -144,8 +144,9 @@ class TestBackward:
         loss = make_loss(loss_name)
         scopes = ("image", "batch") if act_name == "linear" else (None,)
         rng = np.random.default_rng(17)
-        X = rng.normal(size=(7, 30, 3))
-        y = (rng.random((7, 30)) < 0.4).astype(float)
+        # 700 pixels: a batch of 3 or 4 images spans two row blocks.
+        X = rng.normal(size=(7, 700, 3))
+        y = (rng.random((7, 700)) < 0.4).astype(float)
         for sizes in ([3, 16, 1], [3, 8, 6, 1]):
             layers = init_layers(sizes, 5)
             for scope in scopes:
