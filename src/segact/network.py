@@ -105,14 +105,16 @@ def _step_buffers(workspace: dict, n_rows: int, layers: Layers):
     ``inputs[k]`` is the input of layer k with a ones column appended, so
     every bias rides in its weight matrix: the batch for layer 0, the
     ReLU output (later the ReLU mask) of hidden layer k - 1 otherwise.
-    ReLU and the mask both map the ones column to itself.
+    ReLU and the mask both map the ones column to itself.  ``scaled``
+    holds delta times the top hidden layer's input, ``logits`` the output.
     """
     key = (n_rows, *(w.shape for w, _ in layers))
     buffers = workspace.get(key)
     if buffers is None:
         inputs = [np.ones((n_rows, w.shape[1] + 1)) for w, _ in layers]
         scaled = np.empty_like(inputs[-2]) if len(layers) > 1 else None
-        buffers = workspace[key] = inputs, scaled, np.empty(n_rows)
+        logits = np.empty(n_rows)
+        buffers = workspace[key] = inputs, scaled, logits
     return buffers
 
 
