@@ -140,6 +140,10 @@ def _load_values(path) -> np.ndarray:
             for row in csv.reader(fh):
                 values.extend(float(v) for v in row if v.strip() != "")
         return np.asarray(values, dtype=float)
+    size = path.stat().st_size
+    if size % 8:
+        raise ValueError(f"{path}: {size} bytes is not a whole number of "
+                         "8-byte float64 values (truncated file?)")
     return np.fromfile(path, dtype="<f8")
 
 

@@ -185,14 +185,17 @@ def run_grid(cfg: ExperimentConfig):
     return records
 
 
+def _catalogue_key(activation, loss=None):
+    """Sort key for catalogue order: activations by ``ACTIVATION_ORDER``,
+    then losses by ``LOSS_ORDER``; names outside a catalogue sort last."""
+    def rank(name, order):
+        return order.index(name) if name in order else len(order)
+    return (rank(activation, ACTIVATION_ORDER), rank(loss, LOSS_ORDER))
+
+
 def sort_records(records):
-    def key(r):
-        act = ACTIVATION_ORDER.index(r.activation) \
-            if r.activation in ACTIVATION_ORDER else len(ACTIVATION_ORDER)
-        loss = LOSS_ORDER.index(r.loss) if r.loss in LOSS_ORDER \
-            else len(LOSS_ORDER)
-        return (act, loss, r.fold)
-    return sorted(records, key=key)
+    return sorted(records, key=lambda r: (
+        *_catalogue_key(r.activation, r.loss), r.fold))
 
 
 @dataclass
@@ -239,9 +242,7 @@ def summarize(records) -> SummaryTables:
         groups.setdefault((r.activation, r.loss), []).append(r)
     n_folds = max(len(g) for g in groups.values())
     complete = {}
-    for key in sorted(groups, key=lambda k: (
-            ACTIVATION_ORDER.index(k[0]) if k[0] in ACTIVATION_ORDER else 99,
-            LOSS_ORDER.index(k[1]) if k[1] in LOSS_ORDER else 99)):
+    for key in sorted(groups, key=lambda k: _catalogue_key(*k)):
         group = groups[key]
         if len(group) < n_folds:
             warnings.warn(
@@ -278,9 +279,7 @@ def summarize(records) -> SummaryTables:
         tables.best = {"nll": list(best_nll), "dice": list(best_dice)}
         tables.worst = {"nll": list(worst_nll), "dice": list(worst_dice)}
 
-    activations = sorted({act for act, _ in stats},
-                         key=lambda a: ACTIVATION_ORDER.index(a)
-                         if a in ACTIVATION_ORDER else 99)
+    activations = sorted({act for act, _ in stats}, key=_catalogue_key)
 
     def best_over_losses(act, metric_idx, better):
         values = [stats[(act, loss)][metric_idx]

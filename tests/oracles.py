@@ -5,10 +5,13 @@ interval checks, explicit parameter flattening) and deliberately avoids
 the vectorized code paths in the package, so a disagreement points at a
 real defect rather than shared arithmetic.
 """
+import math
+
 import numpy as np
 
 from segact.activations import CLAMP_HI, CLAMP_LO, Linear
 from segact.losses import Loss, SoftDice
+from segact.metrics import _BANDWIDTH_FLOOR, DensityCurve
 from segact.network import forward
 from segact.validation import check_prediction_target
 
@@ -80,6 +83,30 @@ def adaptive_bruteforce(yhat, y, n_bins, lo, hi):
             conf.append(float("nan"))
             frac.append(float("nan"))
     return conf, frac, counts
+
+
+def kde_direct_sum(yhat, y, grid_points: int = 512) -> DensityCurve:
+    """The exact Gaussian KDE of the foreground predictions: the kernel
+    evaluated at every grid point for every foreground pixel, with the
+    Silverman bandwidth of ``segact.metrics.kde_conditional``."""
+    yhat, y = check_prediction_target(yhat, y)
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
+    fg = yhat[y == 1.0]
+    m = fg.size
+    if m < 2:
+        raise ValueError("need at least 2 foreground predictions for a KDE")
+    sigma = float(np.std(fg, ddof=1))
+    bandwidth = max(1.06 * sigma * m ** -0.2, _BANDWIDTH_FLOOR)
+    grid = np.linspace(0.0, 1.0, grid_points)
+    density = np.zeros(grid_points)
+    norm = 1.0 / (m * bandwidth * math.sqrt(2.0 * math.pi))
+    for start in range(0, m, 8192):  # chunked so the outer product stays small
+        block = fg[start:start + 8192]
+        u = (grid[:, None] - block[None, :]) / bandwidth
+        density += np.exp(-0.5 * u * u).sum(axis=1)
+    return DensityCurve(grid=grid, density=density * norm,
+                        bandwidth=bandwidth, n_points=m)
 
 
 def forward_bruteforce(layers, features):

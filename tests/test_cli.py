@@ -156,6 +156,19 @@ class TestMetrics:
         assert result["best_dice"] == 1.0
 
 
+    def test_truncated_binary_rejected(self, tmp_path):
+        pred_path = tmp_path / "pred.bin"
+        truth_path = tmp_path / "truth.bin"
+        np.array([0.25, 0.75], dtype="<f8").tofile(truth_path)
+        # 12 bytes: one whole value and half of another.
+        pred_path.write_bytes(np.array([0.5, 0.5], dtype="<f8")
+                              .tobytes()[:12])
+        with pytest.raises(ValueError, match="pred.bin") as info:
+            run_cli("metrics", "--pred", str(pred_path),
+                    "--truth", str(truth_path))
+        assert "\n" not in str(info.value)
+
+
 class TestGridAndReport:
     def test_grid_then_report(self, tmp_path, tiny_config_file):
         grid_dir = tmp_path / "grid"

@@ -104,6 +104,23 @@ class TestSummarize:
         assert tables.best["dice"] == ["cdf", "bce"]
         assert tables.worst["nll"] == ["sigmoid", "bce"]
 
+    def test_catalogue_order_with_unknown_names_last(self):
+        records = [make_record(act, loss, fold, 0.1, 0.9)
+                   for act in ("zeta", "hardtanh", "sigmoid", "cdf")
+                   for loss in ("focal", "dice", "bce")
+                   for fold in (1, 0)]
+        ordered = [(r.activation, r.loss, r.fold)
+                   for r in sort_records(records)]
+        assert ordered == [(act, loss, fold)
+                           for act in ("cdf", "sigmoid", "hardtanh", "zeta")
+                           for loss in ("bce", "dice", "focal")
+                           for fold in (0, 1)]
+        tables = summarize(records)
+        assert [(r["activation"], r["loss"]) for r in tables.rows] == \
+            [(act, loss) for act in ("cdf", "sigmoid", "hardtanh", "zeta")
+             for loss in ("bce", "dice", "focal")]
+        assert list(tables.sigmoid_wins["nll"]) == ["cdf", "hardtanh", "zeta"]
+
     def test_matches_two_pass_oracle(self, tiny_records):
         tables = summarize(tiny_records)
         for row in tables.rows:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (adaptive_bruteforce, dice_sweep_bruteforce,
-                     evenly_spaced_bruteforce)
+                     evenly_spaced_bruteforce, kde_direct_sum)
 from segact import (THRESHOLD_SWEEP, best_threshold_dice, calibration_gap,
                     clamp_probability, dice_at_threshold, kde_conditional,
                     make_loss, nll, reliability)
@@ -105,6 +105,15 @@ class TestDiceSweep:
             assert res.best_dice == d_ref
             assert list(res.dice_values) == table_ref
 
+    def test_matches_bruteforce_on_large_instances(self):
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            yhat, y = random_instance(rng, max_pixels=5000)
+            res = best_threshold_dice(yhat, y)
+            t_ref, d_ref, table_ref = dice_sweep_bruteforce(yhat, y)
+            assert (res.best_threshold, res.best_dice) == (t_ref, d_ref)
+            assert list(res.dice_values) == table_ref
+
 
 class TestReliability:
     def test_two_point_example(self):
@@ -155,6 +164,17 @@ class TestReliability:
                 np.testing.assert_array_equal(adaptive.counts, ref[2])
                 np.testing.assert_array_equal(adaptive.confidence, ref[0])
                 np.testing.assert_array_equal(adaptive.fraction, ref[1])
+
+    def test_evenly_spaced_bitwise_on_large_instances(self):
+        # Bins of hundreds of members, whose sums are pairwise blocked.
+        rng = np.random.default_rng(44)
+        for _ in range(3):
+            yhat, y = random_instance(rng, max_pixels=5000)
+            even = reliability(yhat, y, "evenly-spaced", n_bins=15)
+            c_ref, f_ref, n_ref = evenly_spaced_bruteforce(yhat, y, 15)
+            np.testing.assert_array_equal(even.counts, n_ref)
+            np.testing.assert_array_equal(even.confidence, c_ref)
+            np.testing.assert_array_equal(even.fraction, f_ref)
 
     def test_count_conservation_and_edge_containment(self):
         rng = np.random.default_rng(12)
@@ -286,3 +306,57 @@ class TestKde:
     def test_too_few_foreground_rejected(self):
         with pytest.raises(ValueError):
             kde_conditional([0.5, 0.5], [1.0, 0.0])
+
+
+def _kde_cases():
+    """(yhat, y) pairs by name; y is all foreground unless stated."""
+    rng = np.random.default_rng(11)
+    n = 100_000
+    cases = {
+        "point mass at 0.8": np.full(50, 0.8),
+        "bimodal 0.1/0.9": np.concatenate([np.full(40, 0.1),
+                                           np.full(40, 0.9)]),
+        "within 1e-4 of 1": 1.0 - rng.uniform(0.0, 1e-4, 1000),
+        "uniform": rng.uniform(0.0, 1.0, n),
+        "clipped normal": np.clip(rng.normal(0.55, 0.1, n), 0.0, 1.0),
+    }
+    cases = {name: (yhat, np.ones(yhat.size))
+             for name, yhat in cases.items()}
+    cases["two points"] = (np.array([0.3, 0.7]), np.ones(2))
+    cases["two foreground of four"] = (np.array([0.9, 0.9, 0.1, 0.1]),
+                                       np.array([1.0, 1.0, 0.0, 0.0]))
+    return cases
+
+
+class TestKdeAgainstExactSum:
+    """The linear-binned KDE against the direct Gaussian sum."""
+
+    #: Largest allowed error at any grid point, relative to the exact
+    #: curve's peak.
+    TOLERANCE = 5e-3
+
+    @pytest.mark.parametrize("case", list(_kde_cases()))
+    def test_within_tolerance_of_the_direct_sum(self, case):
+        yhat, y = _kde_cases()[case]
+        curve = kde_conditional(yhat, y)
+        exact = kde_direct_sum(yhat, y)
+        assert curve.bandwidth == exact.bandwidth
+        assert curve.n_points == exact.n_points
+        np.testing.assert_array_equal(curve.grid, exact.grid)
+        error = np.max(np.abs(curve.density - exact.density))
+        assert error <= self.TOLERANCE * np.max(exact.density)
+
+    def test_bandwidth_floor_is_hit(self):
+        curve = kde_conditional(*_kde_cases()["within 1e-4 of 1"])
+        assert curve.bandwidth == 1e-3
+
+    def test_other_grid_sizes(self):
+        rng = np.random.default_rng(4)
+        yhat = rng.beta(2.0, 5.0, 5000)
+        y = (rng.random(5000) < 0.6).astype(float)
+        for grid_points in (2, 3, 100, 2048):
+            curve = kde_conditional(yhat, y, grid_points)
+            exact = kde_direct_sum(yhat, y, grid_points)
+            assert curve.density.shape == (grid_points,)
+            error = np.max(np.abs(curve.density - exact.density))
+            assert error <= self.TOLERANCE * np.max(exact.density)
