@@ -143,7 +143,7 @@ def _load_values(path) -> np.ndarray:
     size = path.stat().st_size
     if size % 8:
         raise ValueError(f"{path}: {size} bytes is not a whole number of "
-                         "8-byte float64 values (truncated file?)")
+                         "8-byte float64 values")
     return np.fromfile(path, dtype="<f8")
 
 
