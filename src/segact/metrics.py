@@ -38,10 +38,10 @@ def dice_at_threshold(yhat, y, t: float) -> float:
         raise ValueError("threshold must lie in [0, 1]")
     pred = yhat > t
     truth = y == 1.0
-    denom = int(pred.sum()) + int(truth.sum())
+    denom = int(np.count_nonzero(pred)) + int(np.count_nonzero(truth))
     if denom == 0:
         return 1.0
-    return 2.0 * int((pred & truth).sum()) / denom
+    return 2.0 * int(np.count_nonzero(pred & truth)) / denom
 
 
 @dataclass(frozen=True)
@@ -60,26 +60,9 @@ class DiceSweepResult:
 def best_threshold_dice(yhat, y) -> DiceSweepResult:
     """Evaluate every threshold in the sweep set and keep the best.
 
-    The smallest threshold attaining the maximum wins ties.  One pass
-    counts every threshold at once: a pixel is predicted at threshold
-    ``t_k`` exactly when ``k`` is below the number of sweep thresholds
-    under its value.
+    The smallest threshold attaining the maximum wins ties.
     """
-    yhat, y = check_prediction_target(yhat, y)
-    n = len(THRESHOLD_SWEEP)
-    above = np.searchsorted(THRESHOLD_SWEEP, yhat, side="left")
-    truth = y == 1.0
-
-    def predicted_counts(levels):
-        # counts[k] = number of pixels with yhat > t_k, for k = 0..n-1
-        hist = np.bincount(levels, minlength=n + 1)
-        return np.cumsum(hist[::-1])[::-1][1:].tolist()
-
-    n_pred = predicted_counts(above)
-    n_inter = predicted_counts(above[truth])
-    n_truth = int(truth.sum())
-    values = tuple(1.0 if p + n_truth == 0 else 2.0 * i / (p + n_truth)
-                   for p, i in zip(n_pred, n_inter))
+    values = tuple(dice_at_threshold(yhat, y, t) for t in THRESHOLD_SWEEP)
     best_idx = int(np.argmax(values))  # argmax returns the first maximum
     return DiceSweepResult(
         best_threshold=THRESHOLD_SWEEP[best_idx],

@@ -60,6 +60,11 @@ class TestDiceAtThreshold:
     def test_empty_prediction_of_empty_mask_is_one(self):
         assert dice_at_threshold([0.1, 0.2], [0.0, 0.0], 0.5) == 1.0
 
+    def test_returns_a_python_float(self):
+        # records.csv writes the value with str(); a numpy scalar would
+        # print as "np.float64(...)".
+        assert type(dice_at_threshold([0.6, 0.1], [1.0, 1.0], 0.5)) is float
+
     def test_binary_mask_selfdice_is_one(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
