@@ -280,8 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Bad input (a ``ValueError`` such as
+    ``EmptyDiagramError``, or a ``FloatingPointError``) prints one line
+    to stderr and exits 2, as argparse does for bad flags."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, FloatingPointError) as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"segact {args.command}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -90,52 +90,88 @@ class ReliabilityDiagram:
     filter_hi: float | None = None
 
 
+def _evenly_spaced_bin(yhat, edges):
+    """Index of the bin [k/n, (k+1)/n) holding each value, the last bin
+    closed at 1: ``searchsorted(edges, yhat, "right") - 1`` clipped to
+    the last bin.  ``floor(yhat * n)`` is off by at most one where the
+    product rounds across an edge, so one step against ``edges`` each
+    way corrects it."""
+    n_bins = edges.size - 1
+    idx = (yhat * n_bins).astype(np.intp)  # yhat >= 0: floor
+    np.minimum(idx, n_bins - 1, out=idx)
+    idx -= np.take(edges, idx) > yhat
+    idx += np.take(edges, idx + 1) <= yhat
+    np.minimum(idx, n_bins - 1, out=idx)
+    return idx
+
+
 def _evenly_spaced_diagram(yhat, y, n_bins):
     edges = np.array([k / n_bins for k in range(n_bins + 1)])
-    # Bin k holds [k/n, (k+1)/n); the last bin is closed at 1.
-    idx = np.searchsorted(edges, yhat, side="right") - 1
-    idx = np.minimum(idx, n_bins - 1)
+    idx = _evenly_spaced_bin(yhat, edges)
     # A stable sort by bin keeps each bin's members in their original
     # order, so each slice equals the masked selection yhat[idx == b].
     order = np.argsort(idx.astype(np.min_scalar_type(n_bins - 1)),
                        kind="stable")
-    yhat, y = yhat[order], y[order]
+    yhat = yhat[order]
     counts = np.bincount(idx, minlength=n_bins)
+    # Sums of 0/1 targets are exact in any order.
+    positives = np.bincount(idx, weights=y, minlength=n_bins)
     conf = np.full(n_bins, np.nan)
     frac = np.full(n_bins, np.nan)
     start = 0
     for b, size in enumerate(counts.tolist()):
         if size:
             conf[b] = float(np.mean(yhat[start:start + size]))
-            frac[b] = float(np.mean(y[start:start + size]))
+            frac[b] = positives[b] / size
         start += size
     return ReliabilityDiagram("evenly-spaced", n_bins, conf, frac, counts,
                               bin_edges=edges)
 
 
+def _positives_below(yhat, y, ranked, positive_vals, rank):
+    """Positive targets among the first ``rank`` (at least 1) kept values
+    in stable sorted order.  ``ranked`` holds the kept values sorted and
+    ``positive_vals`` those of them whose target is 1."""
+    v = ranked[rank - 1]
+    if rank == int(np.searchsorted(ranked, v, "right")):
+        return int(np.searchsorted(positive_vals, v, "right"))
+    # The tie at v straddles rank.  A stable sort keeps it in index
+    # order, so only its first rank - (values below v) members count.
+    below = int(np.searchsorted(ranked, v, "left"))
+    # Every value equal to v passed the filter, so the tie's index order
+    # is its order in yhat.
+    tied = np.flatnonzero(yhat == v)[:rank - below]
+    return (int(np.searchsorted(positive_vals, v, "left"))
+            + int(np.count_nonzero(y[tied])))
+
+
 def _adaptive_diagram(yhat, y, n_bins, lo, hi):
     keep = (yhat >= lo) & (yhat <= hi)
-    if not keep.any():
+    # Tied values are equal, so each bin's slice of the sorted values is
+    # the sequence a stable argsort would gather, and its mean the same.
+    ranked = np.sort(yhat[keep])
+    if not ranked.size:
         raise EmptyDiagramError(
             "no predictions survive the adaptive filter "
             f"[{lo}, {hi}]")
-    vals = yhat[keep]
-    targets = y[keep]
-    order = np.argsort(vals, kind="stable")
-    m = vals.size
+    keep &= y == 1.0
+    positive_vals = np.sort(yhat[keep])
+    m = ranked.size
     base, extra = divmod(m, n_bins)
     conf = np.full(n_bins, np.nan)
     frac = np.full(n_bins, np.nan)
     counts = np.zeros(n_bins, dtype=int)
     start = 0
+    below = 0
     for b in range(n_bins):
         size = base + (1 if b < extra else 0)
-        chunk = order[start:start + size]
-        start += size
         counts[b] = size
         if size:
-            conf[b] = float(np.mean(vals[chunk]))
-            frac[b] = float(np.mean(targets[chunk]))
+            end = start + size
+            through = _positives_below(yhat, y, ranked, positive_vals, end)
+            conf[b] = float(np.mean(ranked[start:end]))
+            frac[b] = (through - below) / size
+            start, below = end, through
     return ReliabilityDiagram("adaptive", n_bins, conf, frac, counts,
                               filter_lo=lo, filter_hi=hi)
 

@@ -6,7 +6,7 @@ import numpy as np
 from .exceptions import NotFittedError
 
 
-def as_float_array(a, name: str = "array") -> np.ndarray:
+def as_float_array(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 1:
         a = a.ravel()
@@ -14,21 +14,30 @@ def as_float_array(a, name: str = "array") -> np.ndarray:
 
 
 def check_probabilities(yhat, name: str = "yhat") -> np.ndarray:
-    yhat = as_float_array(yhat, name)
+    yhat = as_float_array(yhat)
     if yhat.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if not np.all(np.isfinite(yhat)):
+    # NaN propagates through min and max, so two reductions see every
+    # non-finite value.
+    lo, hi = yhat.min(), yhat.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise FloatingPointError(f"{name} must be finite")
-    if yhat.min() < 0.0 or yhat.max() > 1.0:
+    if lo < 0.0 or hi > 1.0:
         raise ValueError(f"{name} must lie in [0, 1]")
     return yhat
 
 
+def _is_binary(y) -> bool:
+    """Every value is 0 or 1 (NaN is neither)."""
+    return (np.count_nonzero(y == 0.0) + np.count_nonzero(y == 1.0)
+            == y.size)
+
+
 def check_binary(y, name: str = "y") -> np.ndarray:
-    y = as_float_array(y, name)
+    y = as_float_array(y)
     if y.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not _is_binary(y):
         raise ValueError(f"{name} must contain only 0 and 1")
     return y
 
@@ -65,7 +74,7 @@ def check_image_stack(X, y=None):
     if y.shape != X.shape[:2]:
         raise ValueError(
             f"y shape {y.shape} does not match images {X.shape[:2]}")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not _is_binary(y):
         raise ValueError("y must contain only 0 and 1")
     return X, y
 

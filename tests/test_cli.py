@@ -3,7 +3,7 @@ import csv
 import io
 import json
 import xml.etree.ElementTree as ET
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -31,6 +31,14 @@ def run_cli(*argv):
     with redirect_stdout(buffer):
         code = main(list(argv))
     return code, buffer.getvalue()
+
+
+def run_cli_failing(*argv):
+    """Run a command that must fail; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture()
@@ -75,9 +83,14 @@ class TestLossCurve:
         assert len(root.findall(f"{SVG_NS}path")) == 1
 
     def test_bad_range_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_cli("losscurve", "--loss", "bce", "--activation", "sigmoid",
-                    "--range=6:6", "--out", str(tmp_path / "x.svg"))
+        code, out, err = run_cli_failing(
+            "losscurve", "--loss", "bce", "--activation", "sigmoid",
+            "--range=6:6", "--out", str(tmp_path / "x.svg"))
+        assert code == 2
+        assert out == ""
+        assert err == ("segact losscurve: error: "
+                       "range requires lo < hi\n")
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestDatagen:
@@ -163,10 +176,44 @@ class TestMetrics:
         # 12 bytes: one whole value and half of another.
         pred_path.write_bytes(np.array([0.5, 0.5], dtype="<f8")
                               .tobytes()[:12])
-        with pytest.raises(ValueError, match="pred.bin") as info:
-            run_cli("metrics", "--pred", str(pred_path),
-                    "--truth", str(truth_path))
-        assert "\n" not in str(info.value)
+        code, out, err = run_cli_failing("metrics", "--pred", str(pred_path),
+                                         "--truth", str(truth_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"segact metrics: error: {pred_path}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("pred, truth, message", [
+        ([0.5, float("nan")], [0.0, 1.0], "finite"),
+        ([0.5, 0.5], [0.0, 0.5], "must contain only 0 and 1"),
+        ([0.5, 0.5], [0.0, 2.0], "must contain only 0 and 1"),
+        ([0.5, 0.5, 0.5], [0.0, 1.0], "length mismatch"),
+    ])
+    def test_bad_values_give_one_line_and_exit_2(self, tmp_path, pred,
+                                                 truth, message):
+        pred_path = tmp_path / "pred.csv"
+        truth_path = tmp_path / "truth.csv"
+        pred_path.write_text("\n".join(repr(v) for v in pred))
+        truth_path.write_text("\n".join(repr(v) for v in truth))
+        code, out, err = run_cli_failing("metrics", "--pred", str(pred_path),
+                                         "--truth", str(truth_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("segact metrics: error: ")
+        assert message in err
+        assert err.count("\n") == 1
+
+    def test_all_filtered_adaptive_diagram_is_not_an_error(self, tmp_path):
+        # EmptyDiagramError is caught by the command itself: the adaptive
+        # gap is reported as null.
+        pred_path = tmp_path / "pred.csv"
+        truth_path = tmp_path / "truth.csv"
+        pred_path.write_text("0.0001\n0.9999\n")
+        truth_path.write_text("0\n1\n")
+        code, out = run_cli("metrics", "--pred", str(pred_path),
+                            "--truth", str(truth_path))
+        assert code == 0
+        assert json.loads(out)["calibration_gap_adaptive"] is None
 
 
 class TestGridAndReport:

@@ -12,6 +12,7 @@ from segact import (THRESHOLD_SWEEP, best_threshold_dice, calibration_gap,
                     clamp_probability, dice_at_threshold, kde_conditional,
                     make_loss, nll, reliability)
 from segact.exceptions import EmptyDiagramError
+from segact.metrics import _evenly_spaced_bin
 
 
 def random_instance(rng, max_pixels=64):
@@ -213,6 +214,112 @@ class TestReliability:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             reliability([0.5], [1.0], "quantile")
+
+
+def _assert_adaptive_bitwise(yhat, y, n_bins=15, lo=1e-2, hi=1.0 - 1e-2):
+    """The adaptive diagram equals the oracle bit for bit."""
+    d = reliability(yhat, y, "adaptive", n_bins=n_bins, lo=lo, hi=hi)
+    conf, frac, counts = adaptive_bruteforce(yhat, y, n_bins, lo, hi)
+    np.testing.assert_array_equal(d.counts, counts)
+    filled = d.counts > 0
+    for got, want in ((d.confidence, conf), (d.fraction, frac)):
+        want = np.asarray(want)
+        assert np.isnan(got[~filled]).all()
+        assert got[filled].tobytes() == want[filled].tobytes()
+    return d
+
+
+def _straddles_a_bin_boundary(yhat, n_bins=15, lo=1e-2, hi=1.0 - 1e-2):
+    ranked = np.sort(yhat[(yhat >= lo) & (yhat <= hi)])
+    base, extra = divmod(ranked.size, n_bins)
+    ends = np.cumsum([base + (b < extra) for b in range(n_bins)])[:-1]
+    ends = ends[(ends > 0) & (ends < ranked.size)]
+    return bool(np.any(ranked[ends - 1] == ranked[ends]))
+
+
+class TestAdaptiveAgainstOracle:
+    """Adaptive bins come from one value sort and counts of positives;
+    the oracle gathers each bin from a stable sort."""
+
+    def test_ties_straddling_bin_boundaries(self):
+        rng = np.random.default_rng(21)
+        for n, levels in ((40, 2), (1000, 3), (1000, 7), (3001, 20)):
+            yhat = rng.integers(1, levels + 1, n) / (levels + 1)
+            y = (rng.random(n) < 0.5).astype(float)
+            assert _straddles_a_bin_boundary(yhat)
+            _assert_adaptive_bitwise(yhat, y)
+            _assert_adaptive_bitwise(yhat, y, n_bins=4)
+
+    def test_values_at_the_filter_bounds(self):
+        rng = np.random.default_rng(22)
+        lo, hi = 1e-2, 1.0 - 1e-2
+        at_bounds = [lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 1.0),
+                     np.nextafter(lo, 1.0), np.nextafter(hi, 0.0), 0.0, 1.0]
+        yhat = rng.choice(np.array(at_bounds + [0.5]), 500)
+        y = (rng.random(500) < 0.5).astype(float)
+        d = _assert_adaptive_bitwise(yhat, y)
+        inside = (yhat >= lo) & (yhat <= hi)
+        assert d.counts.sum() == np.count_nonzero(inside)
+        _assert_adaptive_bitwise(np.array([lo, hi]), np.array([1.0, 0.0]),
+                                 n_bins=2)
+
+    def test_fewer_kept_values_than_bins(self):
+        rng = np.random.default_rng(23)
+        for m in (1, 2, 5, 14):
+            yhat = np.concatenate([rng.uniform(0.05, 0.95, m),
+                                   np.full(30, 1e-3)])
+            y = (rng.random(yhat.size) < 0.5).astype(float)
+            d = _assert_adaptive_bitwise(yhat, y)
+            assert np.count_nonzero(d.counts) == m
+
+    def test_kept_count_not_divisible_by_the_bin_count(self):
+        rng = np.random.default_rng(24)
+        for m in (16, 29, 1007, 2024):
+            yhat = rng.uniform(0.02, 0.98, m)
+            y = (rng.random(m) < yhat).astype(float)
+            assert m % 15
+            d = _assert_adaptive_bitwise(yhat, y)
+            assert d.counts.max() - d.counts.min() == 1
+
+    def test_large_instances_use_blocked_sums(self):
+        # Bins of thousands of members, whose sums numpy blocks pairwise.
+        rng = np.random.default_rng(25)
+        n = (1 << 16) + 3
+        uniform = rng.uniform(0.0, 1.0, n)
+        tied = rng.integers(0, 9, n) / 8
+        for yhat in (uniform, tied):
+            y = (rng.random(n) < yhat).astype(float)
+            _assert_adaptive_bitwise(yhat, y)
+        assert _straddles_a_bin_boundary(tied)
+
+
+class TestEvenlySpacedBinIndex:
+    def test_matches_searchsorted_at_every_edge_and_its_neighbours(self):
+        rng = np.random.default_rng(26)
+        for n_bins in range(1, 65):
+            edges = np.array([k / n_bins for k in range(n_bins + 1)])
+            values = np.concatenate([
+                edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+                np.arange(n_bins + 1) * (1.0 / n_bins), [1.0],
+                rng.uniform(0.0, 1.0, 200)])
+            values = values[(values >= 0.0) & (values <= 1.0)]
+            expected = np.minimum(
+                np.searchsorted(edges, values, side="right") - 1,
+                n_bins - 1)
+            np.testing.assert_array_equal(
+                _evenly_spaced_bin(values, edges), expected)
+
+    def test_diagram_at_the_edges_matches_the_oracle(self):
+        for n_bins in (1, 3, 10, 15, 49):
+            edges = np.array([k / n_bins for k in range(n_bins + 1)])
+            yhat = np.concatenate([edges, np.nextafter(edges[1:], 0.0),
+                                   np.nextafter(edges[:-1], 1.0)])
+            y = np.resize([0.0, 1.0, 1.0], yhat.size)
+            d = reliability(yhat, y, "evenly-spaced", n_bins=n_bins)
+            conf, frac, counts = evenly_spaced_bruteforce(yhat, y, n_bins)
+            np.testing.assert_array_equal(d.counts, counts)
+            np.testing.assert_array_equal(d.confidence, conf)
+            np.testing.assert_array_equal(d.fraction, frac)
 
 
 class TestCalibrationGap:
