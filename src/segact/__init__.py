@@ -19,7 +19,7 @@ from .harness import (ExperimentConfig, RunRecord, SummaryTables,
 from .losses import (LOSS_ORDER, BinaryCrossEntropy, Loss, MeanSquaredError,
                      SoftDice, loss_gradient_wrt_logits, make_loss)
 from .metrics import (THRESHOLD_SWEEP, DensityCurve, DiceSweepResult,
-                      ReliabilityDiagram, best_threshold_dice,
+                      PredictionSet, ReliabilityDiagram, best_threshold_dice,
                       calibration_gap, dice_at_threshold, kde_conditional,
                       nll, reliability)
 from .network import (AdamState, TrainConfig, TrainHistory, adam_init,
@@ -40,7 +40,7 @@ __all__ = [
     "run_experiment", "run_grid", "summarize",
     "LOSS_ORDER", "BinaryCrossEntropy", "Loss", "MeanSquaredError",
     "SoftDice", "loss_gradient_wrt_logits", "make_loss",
-    "THRESHOLD_SWEEP", "DensityCurve", "DiceSweepResult",
+    "THRESHOLD_SWEEP", "DensityCurve", "DiceSweepResult", "PredictionSet",
     "ReliabilityDiagram", "best_threshold_dice", "calibration_gap",
     "dice_at_threshold", "kde_conditional", "nll", "reliability",
     "AdamState", "TrainConfig", "TrainHistory", "adam_init", "adam_step",

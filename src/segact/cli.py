@@ -21,9 +21,10 @@ from .estimator import PixelClassifier
 from .exceptions import EmptyDiagramError
 from .harness import (emit_report, experiment_from_config, load_predictions,
                       parse_config_text, run_experiment, summarize)
-from .metrics import (best_threshold_dice, calibration_gap, kde_conditional,
-                      nll, reliability)
+from .metrics import (PredictionSet, best_threshold_dice, calibration_gap,
+                      kde_conditional, nll, reliability)
 from .storage import load_dataset, read_records, save_dataset, save_weights
+from .validation import check_probabilities
 
 #: Reference rescale context used to display the data-dependent linear
 #: activation in the domains table.
@@ -148,13 +149,19 @@ def _load_values(path) -> np.ndarray:
 
 
 def cmd_metrics(args) -> int:
-    preds = clamp_probability(_load_values(args.pred))
-    truth = _load_values(args.truth)
-    sweep = best_threshold_dice(preds, truth)
-    even = reliability(preds, truth, "evenly-spaced")
+    # Range-check the raw values: clamping first would score 1.5 or -3.
+    preds = clamp_probability(check_probabilities(_load_values(args.pred),
+                                                  "predictions"))
+    ps = PredictionSet(preds, _load_values(args.truth))
+    # NLL and the evenly spaced diagram run before the sweep makes the
+    # shared sorts, so their temporaries and the sorts are never alive
+    # together.
+    nll_value = nll(ps)
+    even = reliability(ps, strategy="evenly-spaced")
+    sweep = best_threshold_dice(ps)
     result = {
         "n_pixels": int(preds.size),
-        "nll": nll(preds, truth),
+        "nll": nll_value,
         "best_dice": sweep.best_dice,
         "best_threshold": sweep.best_threshold,
         "dice_table": [[t, d] for t, d in sweep.as_table()],
@@ -163,7 +170,7 @@ def cmd_metrics(args) -> int:
     }
     adaptive = None
     try:
-        adaptive = reliability(preds, truth, "adaptive")
+        adaptive = reliability(ps, strategy="adaptive")
         result["calibration_gap_adaptive"] = calibration_gap(adaptive)
     except EmptyDiagramError:
         pass
@@ -179,7 +186,7 @@ def cmd_metrics(args) -> int:
                           {"adaptive": adaptive},
                           "Reliability diagram (adaptive)"))
         try:
-            curve = kde_conditional(preds, truth)
+            curve = kde_conditional(ps)
             svg.write(plot_dir / "kde_foreground.svg", plots.kde_chart(
                 {"foreground": curve.density}, curve.grid,
                 "Foreground prediction density"))

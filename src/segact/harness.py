@@ -24,7 +24,8 @@ from .datagen import PRESETS, TaskConfig, generate, kfold_split, stack
 from .estimator import PixelClassifier
 from .exceptions import EmptyDiagramError
 from .losses import LOSS_ORDER
-from .metrics import best_threshold_dice, calibration_gap, nll, reliability
+from .metrics import (PredictionSet, best_threshold_dice, calibration_gap,
+                      nll, reliability)
 from .network import TrainConfig
 from .storage import write_records
 
@@ -118,12 +119,17 @@ def _run_cell(cfg: ExperimentConfig, activation: str, loss: str, fold: int,
     )
     model.fit(X[train_idx], y[train_idx], X[val_idx], y[val_idx])
 
-    probs = model.predict_proba(X[val_idx]).ravel()
-    truth = y[val_idx].ravel()
-    sweep = best_threshold_dice(probs, truth)
-    gap_even = calibration_gap(reliability(probs, truth, "evenly-spaced"))
+    # The best epoch's validation probabilities come from the returned
+    # parameters and the same images, so they equal predict_proba's.
+    probs = model.history_.best_val_probs
+    if probs is None:  # no epoch improved
+        probs = model.predict_proba(X[val_idx])
+    probs = probs.ravel()
+    ps = PredictionSet(probs, y[val_idx])
+    sweep = best_threshold_dice(ps)
+    gap_even = calibration_gap(reliability(ps, strategy="evenly-spaced"))
     try:
-        gap_adaptive = calibration_gap(reliability(probs, truth, "adaptive"))
+        gap_adaptive = calibration_gap(reliability(ps, strategy="adaptive"))
     except EmptyDiagramError:
         gap_adaptive = float("nan")
 
@@ -131,7 +137,7 @@ def _run_cell(cfg: ExperimentConfig, activation: str, loss: str, fold: int,
         activation=activation,
         loss=loss,
         fold=fold,
-        nll=nll(probs, truth),
+        nll=nll(ps),
         dice=sweep.best_dice,
         threshold=sweep.best_threshold,
         gap_even=gap_even,

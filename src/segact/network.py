@@ -250,6 +250,10 @@ class TrainHistory:
     best_val_dice: float = float("-inf")
     converged: bool = True
     stopped: str = "max_epochs"
+    #: Validation probabilities of the best epoch, (images, pixels);
+    #: None until an epoch improves.
+    best_val_probs: np.ndarray | None = field(default=None, repr=False,
+                                              compare=False)
 
     @property
     def n_epochs(self) -> int:
@@ -335,6 +339,7 @@ def train_network(layers: Layers, train_images, train_masks, val_images,
         if improved:
             history.best_val_dice = val_metric
             history.best_epoch = epoch
+            history.best_val_probs = val_probs
             best_layers = copy.deepcopy(layers)
             plateau = 0
             stagnant = 0

@@ -53,6 +53,21 @@ def check_prediction_target(yhat, y) -> tuple[np.ndarray, np.ndarray]:
     return yhat, y
 
 
+def check_weights(weight, size: int):
+    """Validate finite, non-negative per-pixel weights for ``size`` pixels."""
+    weight = as_float_array(weight)
+    if weight.size != size:
+        raise ValueError(
+            f"length mismatch: {weight.size} weights vs {size} predictions")
+    if weight.size:
+        lo, hi = weight.min(), weight.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise FloatingPointError("sample_weight must be finite")
+        if lo < 0.0:
+            raise ValueError("sample_weight must not be negative")
+    return weight
+
+
 def check_image_stack(X, y=None):
     """Coerce inputs to (n_images, n_pixels, n_features) and matching masks.
 

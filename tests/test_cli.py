@@ -8,7 +8,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from segact import clamp_probability, nll
+from segact import (best_threshold_dice, calibration_gap, clamp_probability,
+                    nll, reliability)
 from segact.cli import main
 from segact.storage import load_dataset, load_weights, read_records
 
@@ -202,6 +203,63 @@ class TestMetrics:
         assert err.startswith("segact metrics: error: ")
         assert message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", [1.5, -3.0])
+    def test_out_of_range_predictions_are_rejected_before_the_clamp(
+            self, tmp_path, bad):
+        pred_path = tmp_path / "pred.csv"
+        truth_path = tmp_path / "truth.csv"
+        pred_path.write_text(f"0.5\n{bad!r}\n0.2\n")
+        truth_path.write_text("0\n1\n1\n")
+        code, out, err = run_cli_failing("metrics", "--pred", str(pred_path),
+                                         "--truth", str(truth_path))
+        assert code == 2
+        assert out == ""
+        assert err == "segact metrics: error: predictions must lie in " \
+            "[0, 1]\n"
+
+    def test_json_is_the_pair_path_to_the_byte(self, tmp_path):
+        # One shared PredictionSet gives the bytes that separate calls
+        # on the (predictions, targets) pair give.
+        rng = np.random.default_rng(8)
+        preds = np.concatenate([rng.uniform(0.0, 1.0, 2000),
+                                [0.0, 1.0, 0.05, 0.5, 1e-2]])
+        truth = (rng.random(preds.size) < preds).astype(float)
+        pred_path = tmp_path / "pred.bin"
+        truth_path = tmp_path / "truth.bin"
+        preds.astype("<f8").tofile(pred_path)
+        truth.astype("<f8").tofile(truth_path)
+        code, out = run_cli("metrics", "--pred", str(pred_path),
+                            "--truth", str(truth_path))
+        assert code == 0
+        p = clamp_probability(preds)
+        sweep = best_threshold_dice(p, truth)
+        expected = {
+            "n_pixels": preds.size,
+            "nll": nll(p, truth),
+            "best_dice": sweep.best_dice,
+            "best_threshold": sweep.best_threshold,
+            "dice_table": [[t, d] for t, d in sweep.as_table()],
+            "calibration_gap_even": calibration_gap(
+                reliability(p, truth, "evenly-spaced")),
+            "calibration_gap_adaptive": calibration_gap(
+                reliability(p, truth, "adaptive")),
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_no_foreground_skips_the_kde(self, tmp_path):
+        pred_path = tmp_path / "pred.csv"
+        truth_path = tmp_path / "truth.csv"
+        pred_path.write_text("0.1\n0.9\n0.4\n")
+        truth_path.write_text("0\n0\n0\n")
+        plot_dir = tmp_path / "plots"
+        code, out = run_cli("metrics", "--pred", str(pred_path),
+                            "--truth", str(truth_path),
+                            "--plots", str(plot_dir))
+        assert code == 0
+        assert (plot_dir / "reliability_even.svg").exists()
+        assert not (plot_dir / "kde_foreground.svg").exists()
+        assert json.loads(out)["dice_table"][-1] == [1.0, 1.0]
 
     def test_all_filtered_adaptive_diagram_is_not_an_error(self, tmp_path):
         # EmptyDiagramError is caught by the command itself: the adaptive

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from segact import PixelClassifier, TaskConfig, generate, kfold_split, stack
+from segact import (ACTIVATION_ORDER, LOSS_ORDER, PixelClassifier,
+                    TaskConfig, generate, kfold_split, stack)
 from segact.exceptions import NotFittedError
 
 
@@ -75,6 +76,44 @@ class TestFitPredict:
         assert set(np.unique(masks)) <= {0, 1}
         logits = model.decision_function(X[val])
         assert logits.shape == probs.shape
+
+    @pytest.mark.parametrize("loss_name", LOSS_ORDER)
+    @pytest.mark.parametrize("act_name", ACTIVATION_ORDER)
+    def test_kept_validation_probabilities_equal_predict_proba(
+            self, easy_task, act_name, loss_name):
+        X, y, train, val = easy_task
+        model = quick_model(activation=act_name, loss=loss_name,
+                            max_epochs=4)
+        model.fit(X[train], y[train], X[val], y[val])
+        kept = model.history_.best_val_probs
+        assert model.history_.best_epoch >= 1
+        probs = model.predict_proba(X[val])
+        assert kept.shape == probs.shape
+        assert kept.tobytes() == probs.tobytes()
+
+    def test_kept_probabilities_of_a_run_that_diverged_later(self, easy_task):
+        X, y, train, val = easy_task
+        calls = []
+
+        def monitor(p, t):  # improves twice, then turns non-finite
+            calls.append(None)
+            return float(len(calls)) if len(calls) < 3 else float("nan")
+
+        model = quick_model(activation="linear", loss="mse", max_epochs=6)
+        model.fit(X[train], y[train], X[val], y[val], monitor=monitor)
+        history = model.history_
+        assert (history.stopped, history.best_epoch) == ("diverged", 2)
+        assert history.best_val_probs.tobytes() == \
+            model.predict_proba(X[val]).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_probabilities_kept_when_no_epoch_improved(self, easy_task):
+        X, y, train, val = easy_task
+        model = quick_model(learning_rate=1e308, max_epochs=3)
+        model.fit(X[train], y[train], X[val], y[val])
+        assert model.history_.stopped == "diverged"
+        assert model.history_.best_epoch == 0
+        assert model.history_.best_val_probs is None
 
     def test_single_image_promoted(self, easy_task):
         X, y, train, val = easy_task

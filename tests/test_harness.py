@@ -3,13 +3,15 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from segact import TaskConfig, TrainConfig
 from segact.harness import (ExperimentConfig, RunRecord, SummaryTables,
-                            derive_seed, emit_report, experiment_from_config,
-                            parse_config_text, records_equal, run_experiment,
-                            run_grid, sort_records, summarize)
+                            _run_cell, derive_seed, emit_report,
+                            experiment_from_config, parse_config_text,
+                            records_equal, run_experiment, run_grid,
+                            sort_records, summarize)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -62,6 +64,18 @@ class TestRunGrid:
     def test_parallel_workers_match_sequential(self, tiny_records):
         parallel = run_grid(tiny_config(workers=2))
         assert records_equal(tiny_records, parallel)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cell_without_an_improved_epoch_predicts_again(self):
+        # A run that diverges in epoch 1 keeps no validation
+        # probabilities; the cell scores a fresh predict instead.
+        cfg = tiny_config(train=TrainConfig(learning_rate=1e308,
+                                            max_epochs=3))
+        record, probs = _run_cell(cfg, "sigmoid", "bce", 0,
+                                  capture_predictions=True)
+        assert (record.epochs, record.converged) == (0, False)
+        assert probs.size == 3 * 100 and np.all(np.isfinite(probs))
+        assert math.isfinite(record.nll)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

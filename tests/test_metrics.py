@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import (adaptive_bruteforce, dice_sweep_bruteforce,
                      evenly_spaced_bruteforce, kde_direct_sum)
-from segact import (THRESHOLD_SWEEP, best_threshold_dice, calibration_gap,
-                    clamp_probability, dice_at_threshold, kde_conditional,
-                    make_loss, nll, reliability)
+from segact import (THRESHOLD_SWEEP, PredictionSet, best_threshold_dice,
+                    calibration_gap, clamp_probability, dice_at_threshold,
+                    kde_conditional, make_loss, nll, reliability)
 from segact.exceptions import EmptyDiagramError
 from segact.metrics import _evenly_spaced_bin
 
@@ -65,6 +65,47 @@ class TestDiceAtThreshold:
         # records.csv writes the value with str(); a numpy scalar would
         # print as "np.float64(...)".
         assert type(dice_at_threshold([0.6, 0.1], [1.0, 1.0], 0.5)) is float
+
+    def test_weight_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            dice_at_threshold([0.6, 0.1], [1.0, 0.0], 0.5,
+                              sample_weight=[1.0])
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="must not be negative"):
+            dice_at_threshold([0.6, 0.1], [1.0, 0.0], 0.5,
+                              sample_weight=[1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(FloatingPointError, match="must be finite"):
+            dice_at_threshold([0.6, 0.1], [1.0, 0.0], 0.5,
+                              sample_weight=[1.0, bad])
+
+    def test_integer_weights_equal_repeated_rows(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            yhat, y = random_instance(rng, max_pixels=30)
+            weight = rng.integers(0, 5, yhat.size)
+            if not weight.any():
+                weight[0] = 1
+            repeated = (np.repeat(yhat, weight), np.repeat(y, weight))
+            for t in THRESHOLD_SWEEP:
+                got = dice_at_threshold(yhat, y, t, sample_weight=weight)
+                want = dice_at_threshold(*repeated, t)
+                assert got.hex() == want.hex()
+
+    def test_weighted_empty_prediction_of_empty_mask_is_one(self):
+        assert dice_at_threshold([0.1, 0.9], [0.0, 1.0], 0.5,
+                                 sample_weight=[3.0, 0.0]) == 1.0
+        assert dice_at_threshold([0.1, 0.2], [0.0, 0.0], 0.5,
+                                 sample_weight=[2.0, 5.0]) == 1.0
+
+    def test_weighted_result_is_a_python_float(self):
+        got = dice_at_threshold([0.6, 0.1], [1.0, 1.0], 0.5,
+                                sample_weight=np.array([2, 1]))
+        assert type(got) is float and got == 0.8
 
     def test_binary_mask_selfdice_is_one(self):
         rng = np.random.default_rng(1)
@@ -291,6 +332,103 @@ class TestAdaptiveAgainstOracle:
             y = (rng.random(n) < yhat).astype(float)
             _assert_adaptive_bitwise(yhat, y)
         assert _straddles_a_bin_boundary(tied)
+
+
+def _assert_set_matches_oracles(yhat, y):
+    """Every metric of one PredictionSet equals the oracles and the pair
+    path bit for bit; returns the set."""
+    ps = PredictionSet(yhat, y)
+    t_ref, d_ref, table_ref = dice_sweep_bruteforce(yhat, y)
+    for sweep in (best_threshold_dice(ps), best_threshold_dice(yhat, y)):
+        assert (sweep.best_threshold, sweep.best_dice) == (t_ref, d_ref)
+        assert [d.hex() for d in sweep.dice_values] == \
+            [d.hex() for d in table_ref]
+    # Predictions of 0 or 1 give log(0): -inf, or NaN where 0 * -inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert nll(ps).hex() == make_loss("bce").value(yhat, y).hex()
+    even = reliability(ps, strategy="evenly-spaced")
+    conf, frac, counts = evenly_spaced_bruteforce(yhat, y, 15)
+    np.testing.assert_array_equal(even.counts, counts)
+    np.testing.assert_array_equal(even.confidence, conf)
+    np.testing.assert_array_equal(even.fraction, frac)
+    ref = adaptive_bruteforce(yhat, y, 15, 1e-2, 1.0 - 1e-2)
+    if ref is None:
+        with pytest.raises(EmptyDiagramError):
+            reliability(ps, strategy="adaptive")
+    else:
+        d = reliability(ps, strategy="adaptive")
+        np.testing.assert_array_equal(d.counts, ref[2])
+        np.testing.assert_array_equal(d.confidence, ref[0])
+        np.testing.assert_array_equal(d.fraction, ref[1])
+    if np.count_nonzero(y == 1.0) < 2:
+        with pytest.raises(ValueError, match="foreground"):
+            kde_conditional(ps)
+    else:
+        got, want = kde_conditional(ps), kde_conditional(yhat, y)
+        assert got.density.tobytes() == want.density.tobytes()
+        assert got.bandwidth == want.bandwidth
+    return ps
+
+
+class TestPredictionSet:
+    """One checked set with shared sorts gives every metric the bits of
+    the brute-force oracles."""
+
+    def test_values_at_and_beside_every_threshold_and_filter_bound(self):
+        rng = np.random.default_rng(51)
+        marks = np.array(THRESHOLD_SWEEP + (1e-2, 1.0 - 1e-2))
+        values = np.concatenate([marks, np.nextafter(marks, -1.0),
+                                 np.nextafter(marks, 2.0)])
+        values = values[(values >= 0.0) & (values <= 1.0)]
+        for n in (values.size, 400, 3000):
+            yhat = rng.choice(values, n) if n != values.size else values
+            y = (rng.random(yhat.size) < 0.4).astype(float)
+            _assert_set_matches_oracles(yhat, y)
+
+    def test_ties_straddling_adaptive_bin_boundaries(self):
+        rng = np.random.default_rng(52)
+        for n, levels in ((40, 2), (1000, 7), (3001, 20)):
+            yhat = rng.integers(1, levels + 1, n) / (levels + 1)
+            y = (rng.random(n) < 0.5).astype(float)
+            assert _straddles_a_bin_boundary(yhat)
+            _assert_set_matches_oracles(yhat, y)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            _assert_set_matches_oracles(*random_instance(rng))
+
+    def test_no_foreground(self):
+        rng = np.random.default_rng(54)
+        yhat = rng.uniform(0.0, 1.0, 300)
+        ps = _assert_set_matches_oracles(yhat, np.zeros(300))
+        assert ps.foreground.size == ps.ranked_foreground.size == 0
+
+    def test_every_value_filtered_out(self):
+        yhat = np.array([0.0, 1e-3, np.nextafter(1e-2, 0.0),
+                         np.nextafter(1.0 - 1e-2, 1.0), 0.999, 1.0])
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        _assert_set_matches_oracles(yhat, y)
+
+    def test_shared_arrays(self):
+        ps = PredictionSet([[0.7, 0.2], [0.9, 0.4]], [[1.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(ps.ranked, [0.2, 0.4, 0.7, 0.9])
+        np.testing.assert_array_equal(ps.foreground, [0.7, 0.9, 0.4])
+        np.testing.assert_array_equal(ps.ranked_foreground, [0.4, 0.7, 0.9])
+        assert ps.ranked is ps.ranked  # computed once
+
+    def test_pair_is_checked_on_construction(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            PredictionSet([0.5, 0.5], [1.0])
+        with pytest.raises(ValueError, match="must lie in"):
+            PredictionSet([1.5], [1.0])
+
+    def test_targets_with_a_set_or_missing_are_rejected(self):
+        ps = PredictionSet([0.5], [1.0])
+        with pytest.raises(TypeError):
+            nll(ps, [1.0])
+        with pytest.raises(TypeError):
+            best_threshold_dice([0.5])
 
 
 class TestEvenlySpacedBinIndex:
