@@ -32,6 +32,10 @@ BLIND_SPOTS = [
     "correct nor bound the per-layer figures.",
     "grid-workers2 is implemented in perfbench/ but not listed in "
     "BENCHMARK.json, so no entry measures the grid with workers.",
+    "estimator.predict_proba_ms reads 0 on grid-serial: the grid cell "
+    "scores the best epoch's kept validation probabilities and calls "
+    "predict_proba only when no epoch improved; the per-epoch validation "
+    "predicts are timed only inside network.forward_ms.",
 ]
 
 

@@ -239,8 +239,8 @@ class Linear(Activation):
     The context can be passed per call as ``bounds=(lo, hi)`` (scalars or
     arrays broadcastable against ``x``), fixed at construction, or, when
     absent, derived from the evaluated array itself.  ``scope`` selects
-    whether a training step derives the context per image row or from the
-    whole batch.
+    whether a training step derives the context from the whole batch (the
+    default, as in ``PixelClassifier``) or per image row.
     """
 
     name = "linear"
@@ -248,7 +248,7 @@ class Linear(Activation):
     symmetric = False
     smooth = False
 
-    def __init__(self, scope: str = "image", bounds=None):
+    def __init__(self, scope: str = "batch", bounds=None):
         if scope not in ("image", "batch"):
             raise ValueError("scope must be 'image' or 'batch'")
         if bounds is not None:
@@ -300,19 +300,17 @@ class Linear(Activation):
         return out.item() if out.ndim == 0 else out
 
     def training_bounds(self, logits):
-        if self.bounds is not None:
-            return self.bounds
-        logits = np.asarray(logits, dtype=float)
-        if self.scope == "batch" or logits.ndim == 1:
-            return float(np.min(logits)), float(np.max(logits))
-        return (logits.min(axis=1, keepdims=True),
-                logits.max(axis=1, keepdims=True))
+        return self._context(logits, per_image=self.scope == "image")
 
     def evaluation_bounds(self, logits):
+        return self._context(logits, per_image=True)
+
+    def _context(self, logits, per_image):
+        """Fixed bounds, else min/max per row of a 2-D stack or overall."""
         if self.bounds is not None:
             return self.bounds
         logits = np.asarray(logits, dtype=float)
-        if logits.ndim == 1:
+        if not per_image or logits.ndim == 1:
             return float(np.min(logits)), float(np.max(logits))
         return (logits.min(axis=1, keepdims=True),
                 logits.max(axis=1, keepdims=True))
@@ -335,20 +333,13 @@ class Linear(Activation):
         return f"Linear(scope={self.scope!r})"
 
 
+_REGISTRY = {cls.name: cls for cls in (
+    NormalCdf, Sigmoid, InverseSquareRoot, Arctangent, Softsign, Linear,
+    HardTanh)}
+
 #: Catalogue order: the five smooth activations sorted by effective
 #: domain size, then the two special cases.
-ACTIVATION_ORDER = ("cdf", "sigmoid", "isqrt", "arctan", "softsign",
-                    "linear", "hardtanh")
-
-_REGISTRY = {
-    "cdf": NormalCdf,
-    "sigmoid": Sigmoid,
-    "isqrt": InverseSquareRoot,
-    "arctan": Arctangent,
-    "softsign": Softsign,
-    "linear": Linear,
-    "hardtanh": HardTanh,
-}
+ACTIVATION_ORDER = tuple(_REGISTRY)
 
 _ALIASES = {
     "normal_cdf": "cdf",
@@ -361,7 +352,8 @@ _ALIASES = {
 
 
 def make_activation(name, **kwargs) -> Activation:
-    """Build an activation from its registry name.
+    """Build an activation from its registry name or an alias, in any
+    case; its ``name`` is the registry name.
 
     Keyword arguments are forwarded to the constructor (only the linear
     activation takes any).

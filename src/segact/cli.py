@@ -31,10 +31,13 @@ from .validation import check_probabilities
 LINEAR_DISPLAY_BOUNDS = (-1.0, 1.0)
 
 
-def _read_config(path) -> dict:
-    if path is None:
-        return {}
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+def _experiment(args):
+    """The experiment of --config (defaults without one) and --workers."""
+    values = {} if args.config is None else parse_config_text(
+        Path(args.config).read_text(encoding="utf-8"))
+    if getattr(args, "workers", None) is not None:
+        values["workers"] = str(args.workers)
+    return experiment_from_config(values)
 
 
 def cmd_domains(args) -> int:
@@ -81,8 +84,7 @@ def cmd_losscurve(args) -> int:
 
 
 def cmd_datagen(args) -> int:
-    values = _read_config(args.config)
-    cfg = experiment_from_config(values)
+    cfg = _experiment(args)
     samples = generate(cfg.task)
     path = save_dataset(args.out, samples, cfg.task)
     print(f"wrote {len(samples)} images to {path}")
@@ -90,8 +92,7 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    values = _read_config(args.config)
-    cfg = experiment_from_config(values)
+    cfg = _experiment(args)
     if args.data is not None:
         samples = load_dataset(args.data)
     else:
@@ -99,29 +100,19 @@ def cmd_train(args) -> int:
     X, y = stack(samples)
 
     seed = cfg.seed if args.seed is None else args.seed
-    model = PixelClassifier(
-        activation=args.activation,
-        loss=args.loss,
-        learning_rate=cfg.train.learning_rate,
-        batch_size=cfg.train.batch_size,
-        plateau_patience=cfg.train.plateau_patience,
-        stop_patience=cfg.train.stop_patience,
-        lr_factor=cfg.train.lr_factor,
-        max_epochs=cfg.train.max_epochs,
-        random_state=seed,
-    )
+    model = PixelClassifier.from_config(cfg.train, args.activation,
+                                        args.loss, random_state=seed)
     model.fit(X, y)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    columns = ("epoch", "train_loss", "val_loss", "val_dice", "lr")
     with open(out_dir / "history.csv", "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "val_dice", "lr"])
-        for rec in model.history_.epochs:
-            writer.writerow([rec.epoch, repr(rec.train_loss),
-                             repr(rec.val_loss), repr(rec.val_dice),
-                             repr(rec.lr)])
+        writer.writerow(columns)
+        for rec in model.history_.epochs:  # repr: floats read back exactly
+            writer.writerow([repr(getattr(rec, c)) for c in columns])
     save_weights(out_dir / "weights.acts", model.layers_)
     history = model.history_
     status = "converged" if history.converged else "DIVERGED"
@@ -199,11 +190,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    values = _read_config(args.config)
-    cfg = experiment_from_config(values)
-    if args.workers is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, workers=args.workers)
+    cfg = _experiment(args)
     records, tables = run_experiment(cfg, args.out)
     converged = sum(1 for r in records if r.converged)
     print(f"{len(records)} records ({converged} converged) "

@@ -22,7 +22,7 @@ PRESETS = {"easy": 0.1, "medium": 0.5, "hard": 1.0}
 class TaskConfig:
     """Settings for one synthetic segmentation task."""
 
-    n_images: int
+    n_images: int = 200
     image_side: int = 32
     shape: str = "disk"
     noise_sigma: float = 0.1

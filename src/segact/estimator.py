@@ -18,7 +18,8 @@ import numpy as np
 from .activations import make_activation
 from .losses import make_loss
 from .metrics import dice_at_threshold
-from .network import TrainConfig, _predict_probabilities, forward, init_layers, train_network
+from .network import (SCHEDULE_FIELDS, TrainConfig, _predict_probabilities,
+                      forward, init_layers, train_network)
 from .validation import check_image_stack, check_is_fitted
 
 
@@ -37,9 +38,13 @@ class PixelClassifier:
         Output activation mapping logits to probabilities.
     loss : str or Loss
         Training loss.
+    learning_rate, batch_size, plateau_patience, stop_patience,
+    lr_factor, max_epochs
+        The training schedule, with ``TrainConfig``'s defaults.
     linear_scope : {"batch", "image"}
         How the linear activation derives its rescale context during
-        training; prediction always rescales per image.
+        training: from the whole batch (the default, as in ``Linear``) or
+        per image.  Prediction always rescales per image.
     validation_fraction : float
         Share of images held out for the schedule when ``fit`` is not
         given an explicit validation set.
@@ -48,9 +53,12 @@ class PixelClassifier:
     """
 
     def __init__(self, hidden_layer_sizes=(64,), activation="sigmoid",
-                 loss="bce", learning_rate=1e-3, batch_size=8,
-                 plateau_patience=5, stop_patience=10, lr_factor=0.1,
-                 max_epochs=200, linear_scope="batch",
+                 loss="bce", learning_rate=TrainConfig.learning_rate,
+                 batch_size=TrainConfig.batch_size,
+                 plateau_patience=TrainConfig.plateau_patience,
+                 stop_patience=TrainConfig.stop_patience,
+                 lr_factor=TrainConfig.lr_factor,
+                 max_epochs=TrainConfig.max_epochs, linear_scope="batch",
                  validation_fraction=0.2, denom_epsilon=1e-7,
                  random_state=0):
         self.hidden_layer_sizes = hidden_layer_sizes
@@ -66,6 +74,13 @@ class PixelClassifier:
         self.validation_fraction = validation_fraction
         self.denom_epsilon = denom_epsilon
         self.random_state = random_state
+
+    @classmethod
+    def from_config(cls, train: TrainConfig, activation, loss, random_state):
+        """A classifier with ``train``'s schedule (``SCHEDULE_FIELDS``)."""
+        return cls(activation=activation, loss=loss,
+                   random_state=random_state,
+                   **{name: getattr(train, name) for name in SCHEDULE_FIELDS})
 
     @classmethod
     def _param_names(cls):
@@ -84,18 +99,18 @@ class PixelClassifier:
             setattr(self, name, value)
         return self
 
+    # Named linear takes linear_scope, named dice denom_epsilon.
     def _make_activation(self):
-        if isinstance(self.activation, str) and \
-                self.activation.lower() == "linear":
-            return make_activation("linear", scope=self.linear_scope)
-        return make_activation(self.activation)
+        activation = make_activation(self.activation)
+        if isinstance(self.activation, str) and activation.name == "linear":
+            activation = make_activation("linear", scope=self.linear_scope)
+        return activation
 
     def _make_loss(self):
-        if isinstance(self.loss, str) and self.loss.lower() in ("dice",
-                                                                "soft_dice",
-                                                                "softdice"):
-            return make_loss("dice", denom_epsilon=self.denom_epsilon)
-        return make_loss(self.loss)
+        loss = make_loss(self.loss)
+        if isinstance(self.loss, str) and loss.name == "dice":
+            loss = make_loss("dice", denom_epsilon=self.denom_epsilon)
+        return loss
 
     def fit(self, X, y, X_val=None, y_val=None, monitor=None):
         """Train on image stacks; optionally against an explicit
@@ -120,15 +135,8 @@ class PixelClassifier:
 
         activation = self._make_activation()
         loss = self._make_loss()
-        cfg = TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            plateau_patience=self.plateau_patience,
-            stop_patience=self.stop_patience,
-            lr_factor=self.lr_factor,
-            max_epochs=self.max_epochs,
-            seed=shuffle_seed,
-        )
+        cfg = TrainConfig(seed=shuffle_seed, **{
+            name: getattr(self, name) for name in SCHEDULE_FIELDS})
         sizes = [X.shape[2], *map(int, self.hidden_layer_sizes), 1]
         layers = init_layers(sizes, init_seed)
         self.layers_, self.history_ = train_network(

@@ -9,24 +9,25 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import plots, svg
-from .activations import ACTIVATION_ORDER
+from .activations import ACTIVATION_ORDER, make_activation
 from .datagen import PRESETS, TaskConfig, generate, kfold_split, stack
 from .estimator import PixelClassifier
 from .exceptions import EmptyDiagramError
-from .losses import LOSS_ORDER
+from .losses import LOSS_ORDER, make_loss
 from .metrics import (PredictionSet, best_threshold_dice, calibration_gap,
                       nll, reliability)
-from .network import TrainConfig
+from .network import SCHEDULE_FIELDS, TrainConfig
 from .storage import write_records
 
 #: The five smooth activations in effective-domain order; used by the
@@ -38,7 +39,9 @@ REPORT_MARKER = "REPORT_COMPLETE"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One grid: activations x losses x folds on a single task."""
+    """One grid: activations x losses x folds on a single task.  Names
+    become registry names here, so an unknown or repeated name fails
+    before any cell trains."""
 
     task: TaskConfig
     train: TrainConfig = TrainConfig()
@@ -49,12 +52,21 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not self.activations or not self.losses:
-            raise ValueError("need at least one activation and one loss")
+        for attr, make in (("activations", make_activation),
+                           ("losses", make_loss)):
+            keys = tuple(make(name).name for name in getattr(self, attr))
+            if not keys:
+                raise ValueError("need at least one activation and one loss")
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise ValueError(f"{attr} lists {key!r} twice")
+            object.__setattr__(self, attr, keys)
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if self.task.n_images < self.k:
             raise ValueError("need at least k images for k folds")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -99,24 +111,19 @@ def _task_data(task: TaskConfig):
     return stack(generate(task))
 
 
+def _fold(cfg: ExperimentConfig, fold: int):
+    """(train, validation) image indices of one fold."""
+    return kfold_split(cfg.task.n_images, cfg.k,
+                       derive_seed(cfg.seed, "folds", "", 0))[fold]
+
+
 def _run_cell(cfg: ExperimentConfig, activation: str, loss: str, fold: int,
               capture_predictions: bool = False):
     X, y = _task_data(cfg.task)
-    splits = kfold_split(cfg.task.n_images, cfg.k,
-                         derive_seed(cfg.seed, "folds", "", 0))
-    train_idx, val_idx = splits[fold]
-
-    model = PixelClassifier(
-        activation=activation,
-        loss=loss,
-        learning_rate=cfg.train.learning_rate,
-        batch_size=cfg.train.batch_size,
-        plateau_patience=cfg.train.plateau_patience,
-        stop_patience=cfg.train.stop_patience,
-        lr_factor=cfg.train.lr_factor,
-        max_epochs=cfg.train.max_epochs,
-        random_state=derive_seed(cfg.seed, activation, loss, fold),
-    )
+    train_idx, val_idx = _fold(cfg, fold)
+    model = PixelClassifier.from_config(
+        cfg.train, activation, loss,
+        random_state=derive_seed(cfg.seed, activation, loss, fold))
     model.fit(X[train_idx], y[train_idx], X[val_idx], y[val_idx])
 
     # The best epoch's validation probabilities come from the returned
@@ -148,28 +155,17 @@ def _run_cell(cfg: ExperimentConfig, activation: str, loss: str, fold: int,
     return record, (probs if capture_predictions else None)
 
 
-def _cell_worker(args):
-    cfg, activation, loss, fold, capture = args
-    return _run_cell(cfg, activation, loss, fold, capture)
-
-
-def _grid_cells(cfg: ExperimentConfig):
-    return [(act, loss, fold)
-            for act in cfg.activations
-            for loss in cfg.losses
-            for fold in range(cfg.k)]
-
-
 def _execute_grid(cfg: ExperimentConfig, capture_fold: int | None = None):
     """Run every cell; optionally keep validation predictions of one fold."""
-    cells = _grid_cells(cfg)
-    jobs = [(cfg, act, loss, fold, capture_fold == fold)
-            for act, loss, fold in cells]
+    cells = list(itertools.product(cfg.activations, cfg.losses,
+                                   range(cfg.k)))
+    columns = (itertools.repeat(cfg), *zip(*cells),
+               [capture_fold == fold for _, _, fold in cells])
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_cell_worker, jobs))
+            results = list(pool.map(_run_cell, *columns))
     else:
-        results = [_cell_worker(job) for job in jobs]
+        results = list(map(_run_cell, *columns))
 
     records = [record for record, _ in results]
     predictions = {}
@@ -178,10 +174,8 @@ def _execute_grid(cfg: ExperimentConfig, capture_fold: int | None = None):
             predictions[(act, loss)] = probs
     truth = None
     if capture_fold is not None:
-        X, y = _task_data(cfg.task)
-        splits = kfold_split(cfg.task.n_images, cfg.k,
-                             derive_seed(cfg.seed, "folds", "", 0))
-        truth = y[splits[capture_fold][1]].ravel()
+        _, y = _task_data(cfg.task)
+        truth = y[_fold(cfg, capture_fold)[1]].ravel()
     return sort_records(records), predictions, truth
 
 
@@ -420,31 +414,21 @@ def load_predictions(path):
 
 
 # ---------------------------------------------------------------------------
-# Flat key = value config files for the command line.
+# Flat key = value config files for the command line.  Each key is a
+# config dataclass field, which gives its default and, by the default's
+# type, how its value is read.  ``lr`` is ``learning_rate``; ``seed``
+# seeds the task and the grid; ``preset`` names a ``noise_sigma``.
 
-CONFIG_KEYS = ("activations", "losses", "preset", "shape", "image_side",
-               "n_images", "noise_sigma", "seed", "k", "lr", "batch_size",
-               "plateau_patience", "stop_patience", "lr_factor", "max_epochs",
-               "workers")
-
-_CONFIG_DEFAULTS = {
-    "activations": ",".join(ACTIVATION_ORDER),
-    "losses": ",".join(LOSS_ORDER),
-    "preset": "easy",
-    "shape": "disk",
-    "image_side": "32",
-    "n_images": "200",
-    "noise_sigma": "",
-    "seed": "0",
-    "k": "5",
-    "lr": "1e-3",
-    "batch_size": "8",
-    "plateau_patience": "5",
-    "stop_patience": "10",
-    "lr_factor": "0.1",
-    "max_epochs": "200",
-    "workers": "1",
+_CONFIG_FIELDS = {
+    **{f.name: (ExperimentConfig, f) for f in fields(ExperimentConfig)
+       if f.name not in ("task", "train")},
+    **{f.name: (TaskConfig, f) for f in fields(TaskConfig)
+       if f.name != "seed"},
+    **{("lr" if f.name == "learning_rate" else f.name): (TrainConfig, f)
+       for f in fields(TrainConfig) if f.name in SCHEDULE_FIELDS},
 }
+
+CONFIG_KEYS = ("preset", *_CONFIG_FIELDS)
 
 
 def parse_config_text(text: str) -> dict:
@@ -464,37 +448,39 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
+def _parse_value(key: str, text: str):
+    """One key's value, typed as its field's default: a tuple of
+    comma-separated names, an integer, a number or a string."""
+    default = _CONFIG_FIELDS[key][1].default
+    if isinstance(default, tuple):
+        return tuple(name.strip() for name in text.split(",")
+                     if name.strip())
+    try:
+        return type(default)(text)
+    except ValueError:
+        expected = "an integer" if isinstance(default, int) else "a number"
+        raise ValueError(f"{key}: expected {expected}, got {text!r}") \
+            from None
+
+
 def experiment_from_config(values: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from parsed key/value strings."""
-    merged = dict(_CONFIG_DEFAULTS)
-    merged.update(values)
-    preset = merged["preset"].lower()
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; "
-                         f"expected one of {sorted(PRESETS)}")
-    noise = float(merged["noise_sigma"]) if merged["noise_sigma"] != "" \
-        else PRESETS[preset]
-    seed = int(merged["seed"])
-    task = TaskConfig(
-        n_images=int(merged["n_images"]),
-        image_side=int(merged["image_side"]),
-        shape=merged["shape"],
-        noise_sigma=noise,
-        seed=seed,
-    )
-    train = TrainConfig(
-        learning_rate=float(merged["lr"]),
-        batch_size=int(merged["batch_size"]),
-        plateau_patience=int(merged["plateau_patience"]),
-        stop_patience=int(merged["stop_patience"]),
-        lr_factor=float(merged["lr_factor"]),
-        max_epochs=int(merged["max_epochs"]),
-        seed=seed,
-    )
-    acts = tuple(a.strip() for a in merged["activations"].split(",")
-                 if a.strip())
-    losses = tuple(l.strip() for l in merged["losses"].split(",")
-                   if l.strip())
-    return ExperimentConfig(task=task, train=train, activations=acts,
-                            losses=losses, k=int(merged["k"]), seed=seed,
-                            workers=int(merged["workers"]))
+    """Build an ExperimentConfig from parsed key/value strings; a key
+    that is absent keeps its field's default."""
+    kwargs = {ExperimentConfig: {}, TaskConfig: {}, TrainConfig: {}}
+    for key, text in values.items():
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown key {key!r}")
+        if key != "preset" and not (key == "noise_sigma" and text == ""):
+            cls, f = _CONFIG_FIELDS[key]
+            kwargs[cls][f.name] = _parse_value(key, text)
+    if "preset" in values:
+        preset = values["preset"].lower()
+        if preset not in PRESETS:
+            raise ValueError(f"unknown preset {preset!r}; "
+                             f"expected one of {sorted(PRESETS)}")
+        kwargs[TaskConfig].setdefault("noise_sigma", PRESETS[preset])
+    grid = kwargs[ExperimentConfig]
+    task = TaskConfig(**kwargs[TaskConfig],
+                      seed=grid.get("seed", ExperimentConfig.seed))
+    train = TrainConfig(**kwargs[TrainConfig])
+    return ExperimentConfig(task=task, train=train, **grid)

@@ -145,14 +145,11 @@ def loss_gradient_wrt_logits(loss, activation, logits, y, bounds=None):
     return g
 
 
-#: Catalogue order used by tables and reports.
-LOSS_ORDER = ("bce", "dice", "mse")
+_REGISTRY = {cls.name: cls for cls in (
+    BinaryCrossEntropy, SoftDice, MeanSquaredError)}
 
-_REGISTRY = {
-    "bce": BinaryCrossEntropy,
-    "mse": MeanSquaredError,
-    "dice": SoftDice,
-}
+#: Catalogue order used by tables and reports.
+LOSS_ORDER = tuple(_REGISTRY)
 
 _ALIASES = {
     "binary_cross_entropy": "bce",
@@ -164,7 +161,8 @@ _ALIASES = {
 
 
 def make_loss(name, **kwargs) -> Loss:
-    """Build a loss from its registry name."""
+    """Build a loss from its registry name or an alias, in any case; its
+    ``name`` is the registry name."""
     if isinstance(name, Loss):
         return name
     key = _ALIASES.get(str(name).lower(), str(name).lower())

@@ -51,6 +51,12 @@ class TrainConfig:
             raise ValueError("max_epochs must be at least 1")
 
 
+#: The TrainConfig fields a user sets, as config-file keys and as
+#: PixelClassifier parameters; the seed and Adam's constants are not.
+SCHEDULE_FIELDS = ("learning_rate", "batch_size", "plateau_patience",
+                   "stop_patience", "lr_factor", "max_epochs")
+
+
 # Validation dice must beat the best seen so far by this much to count
 # as an improvement.
 IMPROVEMENT_DELTA = 1e-6

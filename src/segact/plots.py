@@ -5,7 +5,7 @@ import numpy as np
 
 from . import svg
 from .activations import ACTIVATION_ORDER, clamp_probability, make_activation
-from .losses import make_loss
+from .losses import LOSS_ORDER, make_loss
 from .metrics import ReliabilityDiagram, kde_conditional
 
 
@@ -27,12 +27,10 @@ def activation_curves(x_lo: float = -10.0, x_hi: float = 10.0,
                           y_range=(-0.05, 1.05))
 
 
-def single_prediction_loss_curves(activation_name: str, losses=None,
+def single_prediction_loss_curves(activation_name: str, losses=LOSS_ORDER,
                                   x_lo: float = -6.0, x_hi: float = 6.0,
                                   n_points: int = 241) -> str:
     """Loss of a single foreground prediction (y = 1) as the logit moves."""
-    if losses is None:
-        losses = ("bce", "dice", "mse")
     act = make_activation(activation_name)
     x = np.linspace(x_lo, x_hi, n_points)
     kwargs = {"bounds": (x_lo, x_hi)} if activation_name == "linear" else {}

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -96,13 +97,7 @@ def save_dataset(out_dir, samples, cfg: TaskConfig) -> Path:
         "n_images": len(samples),
         "image_side": side,
         "n_features": int(samples[0].features.shape[1]),
-        "config": {
-            "n_images": cfg.n_images,
-            "image_side": cfg.image_side,
-            "shape": cfg.shape,
-            "noise_sigma": cfg.noise_sigma,
-            "seed": cfg.seed,
-        },
+        "config": asdict(cfg),
         "sha256": digest,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:

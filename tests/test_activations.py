@@ -248,6 +248,11 @@ class TestLinearContext:
         np.testing.assert_allclose(lo.ravel(), [0.0, 4.0])
         np.testing.assert_allclose(hi.ravel(), [2.0, 8.0])
 
+    def test_default_scope_is_the_estimators(self):
+        from segact import PixelClassifier
+        assert Linear().scope == "batch"
+        assert act("linear").scope == PixelClassifier().linear_scope
+
     def test_evaluation_bounds_are_per_image(self):
         logits = np.array([[0.0, 2.0], [4.0, 8.0]])
         lo, hi = Linear(scope="batch").evaluation_bounds(logits)

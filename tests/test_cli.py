@@ -300,3 +300,42 @@ class TestGridAndReport:
                           "--out", str(grid_dir), "--workers", "2")
         assert code == 0
         assert len(read_records(grid_dir / "records.csv")) == 12
+
+    @pytest.mark.parametrize("override, message", [
+        ("n_images = 1e3", "n_images: expected an integer, got '1e3'"),
+        ("lr = fast", "lr: expected a number, got 'fast'"),
+        ("activations = hardtanh, sigmoid, sigmod",
+         "unknown activation 'sigmod'"),
+        ("losses = dice, soft_dice", "losses lists 'dice' twice"),
+        ("workers = 0", "workers must be at least 1"),
+    ])
+    def test_bad_config_fails_before_any_cell_trains(
+            self, tmp_path, monkeypatch, override, message):
+        from segact import harness
+
+        def no_cell(*args):
+            raise AssertionError("a cell trained")
+        monkeypatch.setattr(harness, "_run_cell", no_cell)
+        config = tmp_path / "bad.cfg"
+        config.write_text(TINY_CONFIG + override + "\n")
+        code, out, err = run_cli_failing("grid", "--config", str(config),
+                                         "--out", str(tmp_path / "grid"))
+        assert (code, out) == (2, "")
+        assert err.startswith("segact grid: error: ")
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "grid").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_flag_below_one_rejected(self, tmp_path, monkeypatch,
+                                             tiny_config_file, workers):
+        from segact import harness
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "_run_cell", no_pool)
+        code, out, err = run_cli_failing(
+            "grid", "--config", str(tiny_config_file), "--out",
+            str(tmp_path / "grid"), "--workers", workers)
+        assert (code, out) == (2, "")
+        assert err == "segact grid: error: workers must be at least 1\n"

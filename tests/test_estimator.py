@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from segact import (ACTIVATION_ORDER, LOSS_ORDER, PixelClassifier,
-                    TaskConfig, generate, kfold_split, stack)
+                    TaskConfig, TrainConfig, generate, kfold_split, stack)
 from segact.exceptions import NotFittedError
 
 
@@ -44,6 +44,25 @@ class TestParams:
         clone = sklearn_base.clone(model)
         assert clone.get_params() == model.get_params()
         assert clone is not model
+
+    def test_default_params_unchanged(self):
+        assert PixelClassifier().get_params() == dict(
+            hidden_layer_sizes=(64,), activation="sigmoid", loss="bce",
+            learning_rate=1e-3, batch_size=8, plateau_patience=5,
+            stop_patience=10, lr_factor=0.1, max_epochs=200,
+            linear_scope="batch", validation_fraction=0.2,
+            denom_epsilon=1e-7, random_state=0)
+
+    def test_from_config_takes_the_schedule(self):
+        train = TrainConfig(learning_rate=0.02, batch_size=3,
+                            plateau_patience=1, stop_patience=4,
+                            lr_factor=0.5, max_epochs=9, seed=77)
+        model = PixelClassifier.from_config(train, "cdf", "mse",
+                                            random_state=5)
+        assert model.get_params() == PixelClassifier(
+            activation="cdf", loss="mse", learning_rate=0.02, batch_size=3,
+            plateau_patience=1, stop_patience=4, lr_factor=0.5,
+            max_epochs=9, random_state=5).get_params()
 
     def test_repr_shows_params(self):
         assert "activation='cdf'" in repr(PixelClassifier(activation="cdf"))
@@ -159,6 +178,14 @@ class TestFitPredict:
                             max_epochs=5)
         model.fit(X[train], y[train], X[val], y[val])
         assert model.activation_.scope == "image"
+
+    @pytest.mark.parametrize("activation, loss", [
+        ("Linear", "Soft_Dice"), ("LINEAR", "SoftDice")])
+    def test_aliases_get_scope_and_epsilon(self, activation, loss):
+        model = quick_model(activation=activation, loss=loss,
+                            linear_scope="image", denom_epsilon=1e-5)
+        assert model._make_activation().scope == "image"
+        assert model._make_loss().denom_epsilon == 1e-5
 
     def test_dice_epsilon_forwarded(self, easy_task):
         X, y, train, val = easy_task

@@ -1,17 +1,20 @@
 """Grid execution, aggregation tables, config parsing and reports."""
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from segact import TaskConfig, TrainConfig
-from segact.harness import (ExperimentConfig, RunRecord, SummaryTables,
-                            _run_cell, derive_seed, emit_report,
+from segact.harness import (CONFIG_KEYS, ExperimentConfig, RunRecord,
+                            SummaryTables, _run_cell, derive_seed, emit_report,
                             experiment_from_config, parse_config_text,
                             records_equal, run_experiment, run_grid,
                             sort_records, summarize)
+from segact.network import SCHEDULE_FIELDS
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -84,6 +87,50 @@ class TestRunGrid:
             tiny_config(k=1)
         with pytest.raises(ValueError):
             tiny_config(task=TaskConfig(n_images=2, image_side=10, seed=0))
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            tiny_config(workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            experiment_from_config({"workers": str(workers)})
+
+    def test_names_resolve_to_registry_names(self):
+        cfg = tiny_config(activations=("Sigmoid", "probit", "HardTanh"),
+                          losses=("Soft_Dice", "BCE"))
+        assert cfg.activations == ("sigmoid", "cdf", "hardtanh")
+        assert cfg.losses == ("dice", "bce")
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(activations=("sigmoid", "sigmoid")), "'sigmoid' twice"),
+        (dict(activations=("cdf", "Probit")), "'cdf' twice"),
+        (dict(losses=("dice", "softdice")), "'dice' twice"),
+        (dict(activations=("sigmoid", "sigmod")), "unknown activation"),
+        (dict(losses=("bce", "hinge")), "unknown loss"),
+    ])
+    def test_unknown_or_repeated_names_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**overrides)
+
+    def test_misspelled_name_raises_before_any_cell_trains(self,
+                                                           monkeypatch):
+        import segact.harness as harness
+        trained = []
+        monkeypatch.setattr(harness, "_run_cell",
+                            lambda *args: trained.append(args))
+        values = {"n_images": "9", "image_side": "10", "k": "3",
+                  "activations": "sigmoid, sigmod"}
+        with pytest.raises(ValueError, match="sigmod"):
+            run_grid(experiment_from_config(values))
+        assert trained == []
+
+    def test_alias_names_give_catalogue_records(self, tiny_records):
+        aliased = run_grid(tiny_config(activations=("HardTanh", "Sigmoid"),
+                                       losses=("soft_dice", "BCE")))
+        assert records_equal(tiny_records, aliased)
+        tables = summarize(aliased)
+        assert [row["n_folds"] for row in tables.rows] == [3] * 4
+        assert set(tables.sigmoid_wins["dice"]) == {"hardtanh"}
 
 
 class TestSeedDerivation:
@@ -324,6 +371,8 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("murble = 3")
+        with pytest.raises(ValueError, match="unknown key 'murble'"):
+            experiment_from_config({"murble": "3"})
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="expected"):
@@ -332,3 +381,51 @@ class TestConfigFile:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="preset"):
             experiment_from_config({"preset": "brutal"})
+
+    @pytest.mark.parametrize("key, text, expected", [
+        ("n_images", "1e3", "an integer"),
+        ("k", "2.5", "an integer"),
+        ("seed", "", "an integer"),
+        ("lr", "fast", "a number"),
+        ("noise_sigma", "loud", "a number"),
+    ])
+    def test_parse_error_names_key_and_type(self, key, text, expected):
+        with pytest.raises(ValueError) as info:
+            experiment_from_config({key: text})
+        assert str(info.value) == f"{key}: expected {expected}, got {text!r}"
+
+    def test_keys_come_from_the_config_fields(self):
+        assert sorted(CONFIG_KEYS) == sorted([
+            "activations", "losses", "preset", "shape", "image_side",
+            "n_images", "noise_sigma", "seed", "k", "lr", "batch_size",
+            "plateau_patience", "stop_patience", "lr_factor", "max_epochs",
+            "workers"])
+        cfg = experiment_from_config({
+            "lr": "0.01", "batch_size": "4", "plateau_patience": "2",
+            "stop_patience": "3", "lr_factor": "0.5", "max_epochs": "7",
+            "shape": "annulus", "image_side": "12", "n_images": "6",
+            "seed": "9", "k": "2", "workers": "2"})
+        assert [getattr(cfg.train, name) for name in SCHEDULE_FIELDS] == \
+            [0.01, 4, 2, 3, 0.5, 7]
+        assert cfg.task == TaskConfig(n_images=6, image_side=12,
+                                      shape="annulus", seed=9)
+        assert (cfg.seed, cfg.k, cfg.workers) == (9, 2, 2)
+
+    def test_empty_noise_sigma_takes_the_preset(self):
+        cfg = experiment_from_config({"noise_sigma": "", "preset": "hard"})
+        assert cfg.task.noise_sigma == 1.0
+
+    def test_readme_table_matches_the_schema(self):
+        # Each row's default, given explicitly, must build the same
+        # config as leaving the key out; every key needs a row.
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = text.split("### Config files", 1)[1]
+        rows = re.findall(r"^\| `([a-z_]+)` \| `([^`|]*)` \|", section,
+                          re.MULTILINE)
+        assert len(rows) == len(CONFIG_KEYS)
+        default = experiment_from_config({})
+        for key, value in rows:
+            assert key in CONFIG_KEYS
+            assert experiment_from_config({key: value}) == default, key
+        assert sorted(key for key, _ in rows) == sorted(CONFIG_KEYS)
