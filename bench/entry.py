@@ -11,6 +11,12 @@ give each end-to-end metric's median, quartiles and pairs won; traced
 runs (``trace1``) give the per-layer figures of each side.  Directions
 and bounds come from ``BENCHMARK.json``.  Only the standard library is
 used.
+
+The north star's two wall times are measured outside the benchmark and
+passed in, each side's minimum over its repeats:
+
+    --grid-wall PARENT_S CHANGE_S --grid-repeats 1     (segact grid)
+    --tier1-wall PARENT_S CHANGE_S --tier1-repeats 1   (the tier-1 suite)
 """
 from __future__ import annotations
 
@@ -106,6 +112,31 @@ def traced(parent_runs, change_runs, workload) -> list:
     return figures
 
 
+#: (option prefix, entry key, what was timed) of the north-star figures.
+NORTH_STAR = (
+    ("grid", "default_grid_wall_s",
+     "segact grid with the default config (7 activations x 3 losses x 5 "
+     "folds, 200 images of 32 x 32) and 1 worker"),
+    ("tier1", "tier1_wall_s",
+     "the tier-1 command of ROADMAP.md, criterion 6 included"),
+)
+
+
+def north_star(args) -> dict:
+    """The north-star wall times that were given, with their repeats."""
+    figures = {}
+    for prefix, key, what in NORTH_STAR:
+        wall = getattr(args, f"{prefix}_wall")
+        if wall is not None:
+            parent, change = wall
+            figures[key] = {"what": what, "unit": "s",
+                            "repeats": getattr(args, f"{prefix}_repeats"),
+                            "statistic": "minimum over repeats",
+                            "parent": parent, "change": change,
+                            "ratio": change / parent}
+    return figures
+
+
 def build_entry(args) -> dict:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(
         encoding="utf-8"))
@@ -144,8 +175,23 @@ def build_entry(args) -> dict:
         "machine": machine,
         "src_lines": src_lines,
         "workloads": workloads,
+        "north_star": north_star(args),
         "blind_spots": BLIND_SPOTS,
     }
+
+
+def _seconds(text) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"not a positive time: {text}")
+    return value
+
+
+def _positive(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive count: {text}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -158,6 +204,12 @@ def main(argv=None) -> int:
     parser.add_argument("--change-ref", required=True)
     parser.add_argument("--title", required=True)
     parser.add_argument("--out", type=Path, required=True)
+    for prefix, _, what in NORTH_STAR:
+        parser.add_argument(f"--{prefix}-wall", type=_seconds, nargs=2,
+                            metavar=("PARENT_S", "CHANGE_S"),
+                            help=f"wall time of {what}, per side")
+        parser.add_argument(f"--{prefix}-repeats", type=_positive, default=1,
+                            help=f"runs per side behind --{prefix}-wall")
     args = parser.parse_args(argv)
     entry = build_entry(args)
     if not entry["workloads"]:

@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .harness import (emit_report, experiment_from_config, load_predictions,
                       parse_config_text, run_experiment, summarize)
 from .metrics import (PredictionSet, best_threshold_dice, calibration_gap,
                       kde_conditional, nll, reliability)
+from .network import EpochRecord
 from .storage import load_dataset, read_records, save_dataset, save_weights
 from .validation import check_probabilities
 
@@ -106,7 +108,9 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = ("epoch", "train_loss", "val_loss", "val_dice", "lr")
+    # The schedule's counters stay out of history.csv (ROADMAP item 3).
+    columns = [f.name for f in fields(EpochRecord)
+               if f.name not in ("stagnant", "lr_reduced")]
     with open(out_dir / "history.csv", "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)

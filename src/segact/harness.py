@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -67,6 +66,9 @@ class ExperimentConfig:
             raise ValueError("need at least k images for k folds")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.train.seed != TrainConfig.seed:
+            raise ValueError("train.seed is not read: each cell derives its "
+                             "seeds from ExperimentConfig.seed; set that")
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,8 @@ def _execute_grid(cfg: ExperimentConfig, capture_fold: int | None = None):
     columns = (itertools.repeat(cfg), *zip(*cells),
                [capture_fold == fold for _, _, fold in cells])
     if cfg.workers > 1:
+        # Imported here: its import chain would slow every CLI start.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_cell, *columns))
     else:

@@ -6,6 +6,12 @@ Gradients are hand-written reverse mode through the composition
 loss(clamp(activation(forward(x)))).  The training loop follows a
 plateau learning-rate schedule and early stopping, both driven by the
 validation dice coefficient at threshold 0.5.
+
+The train step and the per-epoch validation predict both run in blocks
+of ``STEP_BLOCK_ROWS`` rows through buffers the trainer keeps in one
+workspace dict, so neither forms a (pixels x width) hidden array.  The
+predict's logits are bitwise those of one pass over the whole matrix
+(see ``forward``).
 """
 from __future__ import annotations
 
@@ -80,8 +86,35 @@ def init_layers(layer_sizes, seed) -> Layers:
     return layers
 
 
-def forward(layers: Layers, features) -> np.ndarray:
-    """Logit per row of ``features`` (shape n x d)."""
+# Rows per block of the train step and the predict: a block of a 64-unit
+# hidden layer (2048 x 64 doubles, about 1 MB) stays in a core's L2 cache
+# while a pass makes its several sweeps over it.
+STEP_BLOCK_ROWS = 2048
+
+
+def _blocks(n_rows):
+    """Row slices of ``STEP_BLOCK_ROWS`` rows.  A shorter tail joins the
+    last block, so every block starts at a multiple of the block size
+    and BLAS never takes its few-row kernels, which round differently
+    from the kernels of a whole-matrix call."""
+    starts = range(0, max(n_rows - STEP_BLOCK_ROWS, 0) + 1, STEP_BLOCK_ROWS)
+    return [slice(start, stop) for start, stop in
+            zip(starts, [*starts[1:], n_rows])]
+
+
+def forward(layers: Layers, features, workspace: dict | None = None
+            ) -> np.ndarray:
+    """Logit per row of ``features`` (shape n x d).
+
+    The rows pass through the net in blocks (``_blocks``), so no
+    (n x width) hidden array is formed.  Each row takes the same
+    operations in the same order as in one pass over the whole matrix
+    (``matmul``, ``+= b``, ``maximum``), and its logit has the same bits
+    wherever BLAS rounds a row independently of the rows around it: on
+    every row count with one BLAS thread, and on whole blocks, such as
+    the trainer's validation stacks, with several.  ``workspace`` keeps
+    the block buffers between calls, as in ``backward``.
+    """
     a = np.asarray(features, dtype=float)
     if a.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
@@ -89,38 +122,47 @@ def forward(layers: Layers, features) -> np.ndarray:
         raise ValueError(
             f"feature width {a.shape[1]} does not match first layer "
             f"input size {layers[0][0].shape[1]}")
-    for w, b in layers[:-1]:
-        a = a @ w.T
-        a += b
-        np.maximum(a, 0.0, out=a)
-    w, b = layers[-1]
-    a = a @ w.T
-    a += b
-    return a[:, 0]
-
-
-# Rows per block of the train step: a block of a 64-unit hidden layer
-# (2048 x 65 doubles, about 1 MB) stays in a core's L2 cache while the
-# step makes its several passes over it.
-STEP_BLOCK_ROWS = 2048
+    blocks = _blocks(len(a))
+    block_rows = max(rows.stop - rows.start for rows in blocks)
+    key = ("forward", block_rows, *(w.shape for w, _ in layers))
+    workspace = {} if workspace is None else workspace
+    hidden = workspace.get(key)
+    if hidden is None:
+        hidden = workspace[key] = [np.empty((block_rows, w.shape[0]))
+                                   for w, _ in layers[:-1]]
+    w_out, b_out = layers[-1]
+    logits = np.empty(len(a))
+    for rows in blocks:
+        h = a[rows]
+        for (w, b), out in zip(layers, hidden):
+            h = np.matmul(h, w.T, out=out[:len(h)])
+            h += b
+            np.maximum(h, 0.0, out=h)
+        np.matmul(h, w_out.T, out=logits[rows, None])
+    logits += b_out
+    return logits
 
 
 def _step_buffers(workspace: dict, n_rows: int, layers: Layers):
     """Scratch arrays of one batch shape, made on first use.
 
-    ``inputs[k]`` is the input of layer k with a ones column appended, so
-    every bias rides in its weight matrix: the batch for layer 0, the
-    ReLU output (later the ReLU mask) of hidden layer k - 1 otherwise.
-    ReLU and the mask both map the ones column to itself.  ``scaled``
-    holds delta times the top hidden layer's input, ``logits`` the output.
+    ``inputs[k]`` is the input of hidden layer k with a ones column
+    appended, so its bias rides in its weight matrix: the batch for layer
+    0, the ReLU output (later the ReLU mask) of hidden layer k - 1
+    otherwise.  ReLU and the mask both map the ones column to itself.
+    ``top`` is the output layer's input without a ones column: the top
+    hidden layer's ReLU output (later its mask), or the batch when the
+    net has no hidden layer.  ``scaled`` holds delta times the top hidden
+    layer's input, ``logits`` the output.
     """
     key = (n_rows, *(w.shape for w, _ in layers))
     buffers = workspace.get(key)
     if buffers is None:
-        inputs = [np.ones((n_rows, w.shape[1] + 1)) for w, _ in layers]
-        scaled = np.empty_like(inputs[-2]) if len(layers) > 1 else None
+        inputs = [np.ones((n_rows, w.shape[1] + 1)) for w, _ in layers[:-1]]
+        top = np.empty((n_rows, layers[-1][0].shape[1]))
+        scaled = np.empty_like(inputs[-1]) if inputs else None
         logits = np.empty(n_rows)
-        buffers = workspace[key] = inputs, scaled, logits
+        buffers = workspace[key] = inputs, top, scaled, logits
     return buffers
 
 
@@ -150,48 +192,52 @@ def backward(layers: Layers, features, y, activation: Activation,
         raise ValueError("feature width does not match the first layer")
     groups = x.shape[:-1]
     n_rows = math.prod(groups)
-    inputs, scaled, logits = _step_buffers(
+    inputs, top, scaled, logits = _step_buffers(
         {} if workspace is None else workspace, n_rows, layers)
-    inputs[0][:, :-1] = x.reshape(n_rows, -1)
-    augmented = [np.column_stack((w, b)) for w, b in layers]
-    blocks = [slice(start, start + STEP_BLOCK_ROWS)
-              for start in range(0, n_rows, STEP_BLOCK_ROWS)]
+    (inputs[0][:, :-1] if inputs else top)[...] = x.reshape(n_rows, -1)
+    augmented = [np.column_stack((w, b)) for w, b in layers[:-1]]
+    outputs = [a[:, :-1] for a in inputs[1:]] + [top]
+    w_out, b_out = layers[-1][0][0], layers[-1][1]
+    blocks = _blocks(n_rows)
     for rows in blocks:
-        for k, w in enumerate(augmented[:-1]):
-            h = inputs[k + 1][rows]
-            np.matmul(inputs[k][rows], w.T, out=h[:, :-1])
+        for a, w, out in zip(inputs, augmented, outputs):
+            h = out[rows]
+            np.matmul(a[rows], w.T, out=h)
             np.maximum(h, 0.0, out=h)
-        np.matmul(inputs[-1][rows], augmented[-1][0], out=logits[rows])
+        np.matmul(top[rows], w_out, out=logits[rows])
+    logits += b_out
 
     value, g = _logit_head(activation, loss, logits.reshape(groups),
                            np.reshape(y, groups), bounds)
     g = g.reshape(-1)
+    grads: Layers = [None] * len(layers)
+    bias_out = np.array([g.sum()])
+    if not inputs:
+        grads[0] = ((g @ top)[None, :], bias_out)
+        return grads, value
 
     # The output layer has one unit, so the top hidden layer's delta is
     # the rank-1 outer(g, w) times its ReLU mask M, and its gradient is
-    # w * (M.T @ (g * input)): the (pixels x width) delta is never formed.
-    # The top hidden output turns into its mask once the output layer's
-    # gradient has read it; (S.T @ M).T reads M in memory order.
-    top = grad_wb = 0.0
+    # w * G with G = (g * input).T @ M: the (pixels x width) delta is
+    # never formed.  The top hidden output is turned into its mask in
+    # place; (S.T @ M).T reads M in memory order.
+    G = 0.0
     for rows in blocks:
-        h = inputs[-1][rows]
-        top = top + g[rows] @ h
-        if len(layers) > 1:
-            np.greater(h, 0.0, out=h)
-            s = scaled[rows]
-            np.multiply(inputs[-2][rows], g[rows, None], out=s)
-            grad_wb = grad_wb + s.T @ h
-    grads: Layers = [None] * len(layers)
-    grads[-1] = (top[None, :-1], top[-1:])
-    if len(layers) == 1:
-        return grads, value
-    w_out = layers[-1][0][0]
-    grad_wb = grad_wb.T[:-1] * w_out[:, None]
+        m = top[rows]
+        np.greater(m, 0.0, out=m)
+        s = scaled[rows]
+        np.multiply(inputs[-1][rows], g[rows, None], out=s)
+        G = G + s.T @ m
+    # Unit j's ReLU output is M[:, j] * (input @ W_aug[j]), so the output
+    # weights' gradient g @ output is sum_i W_aug[j, i] * G[i, j]: read
+    # off G, without another pass over the hidden layer.
+    grads[-1] = (np.einsum("ji,ij->j", augmented[-1], G)[None, :], bias_out)
+    grad_wb = G.T * w_out[:, None]
     grads[-2] = (grad_wb[:, :-1], grad_wb[:, -1])
 
     # Deeper layers take the plain chain rule with an explicit delta.
     if len(layers) > 2:
-        delta = inputs[-1][:, :-1] * g[:, None]
+        delta = top * g[:, None]
         delta *= w_out
         for k in reversed(range(len(layers) - 2)):
             mask = inputs[k + 1]
@@ -266,10 +312,11 @@ class TrainHistory:
         return len(self.epochs)
 
 
-def _predict_probabilities(layers, images, activation):
+def _predict_probabilities(layers, images, activation, workspace=None):
     """Clamped probabilities per image with per-image rescale context."""
     n_images, n_pixels, d = images.shape
-    logits = forward(layers, images.reshape(-1, d)).reshape(n_images, n_pixels)
+    logits = forward(layers, images.reshape(-1, d), workspace)
+    logits = logits.reshape(n_images, n_pixels)
     bounds = activation.evaluation_bounds(logits)
     p = activation(logits, bounds=bounds)
     return np.clip(p, CLAMP_LO, CLAMP_HI)
@@ -329,7 +376,8 @@ def train_network(layers: Layers, train_images, train_masks, val_images,
                           cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
                 batch_losses.append(batch_loss)
 
-            val_probs = _predict_probabilities(layers, val_images, activation)
+            val_probs = _predict_probabilities(layers, val_images,
+                                               activation, workspace)
             val_loss = loss._value(val_probs, val_masks)
             val_metric = float(monitor(val_probs, val_masks))
             if not (np.isfinite(val_loss) and np.isfinite(val_metric)):

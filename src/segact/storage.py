@@ -9,8 +9,9 @@ Dataset ("ACTD", little endian)
     magic 4s | version u32 | n_images u32 | image_side u32 | n_features u32
     per image: features f64 row-major (side^2 x n_features) | mask u8 (side^2)
 
-Records are a plain CSV with a fixed column order; floats are written
-with full round-trip precision.
+Records are a plain CSV whose columns are the fields of ``RunRecord`` in
+order; floats are written with full round-trip precision and booleans
+as ``true``/``false``.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import csv
 import hashlib
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,9 @@ WEIGHTS_MAGIC = b"ACTS"
 DATASET_MAGIC = b"ACTD"
 FORMAT_VERSION = 1
 
-RECORD_COLUMNS = ("activation", "loss", "fold", "nll", "dice", "threshold",
-                  "gap_even", "gap_adaptive", "epochs", "converged")
+# How a CSV cell reads back as each record field's (annotated) type.
+_READ_CELL = {"str": str, "int": int, "float": float,
+              "bool": lambda text: text == "true"}
 
 
 def save_weights(path, layers) -> None:
@@ -142,33 +144,34 @@ def load_dataset(path):
             for im in images]
 
 
+def _csv_cell(value):
+    """A record field as written to CSV: floats by ``repr``, so that they
+    read back exactly, and booleans as ``true``/``false``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else value
+
+
 def write_records(path, records) -> None:
+    from .harness import RunRecord
+
+    columns = [f.name for f in fields(RunRecord)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
+        writer.writerow(columns)
         for r in records:
-            writer.writerow([
-                r.activation, r.loss, r.fold, repr(r.nll), repr(r.dice),
-                repr(r.threshold), repr(r.gap_even), repr(r.gap_adaptive),
-                r.epochs, "true" if r.converged else "false",
-            ])
+            writer.writerow([_csv_cell(getattr(r, c)) for c in columns])
 
 
 def read_records(path):
     from .harness import RunRecord
 
+    columns = fields(RunRecord)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader))
-        if header != RECORD_COLUMNS:
+        if header != tuple(f.name for f in columns):
             raise ValueError(f"unexpected records header {header}")
-        records = []
-        for row in reader:
-            records.append(RunRecord(
-                activation=row[0], loss=row[1], fold=int(row[2]),
-                nll=float(row[3]), dice=float(row[4]),
-                threshold=float(row[5]), gap_even=float(row[6]),
-                gap_adaptive=float(row[7]), epochs=int(row[8]),
-                converged=row[9] == "true",
-            ))
-    return records
+        return [RunRecord(**{f.name: _READ_CELL[f.type](text)
+                             for f, text in zip(columns, row)})
+                for row in reader]

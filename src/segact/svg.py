@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -74,7 +74,8 @@ def line_chart(series, *, title: str = "", x_label: str = "",
     if title:
         out.append(
             f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="15" font-family="sans-serif">{escape(title)}</text>')
+            f'font-size="15" font-family="sans-serif">'
+            f'{escape(title, quote=False)}</text>')
 
     # Ticks and grid labels.
     for i in range(6):
@@ -95,13 +96,14 @@ def line_chart(series, *, title: str = "", x_label: str = "",
     if x_label:
         out.append(f'<text x="{left + plot_w / 2:.1f}" y="{height - 10}" '
                    'text-anchor="middle" font-size="13" '
-                   f'font-family="sans-serif">{escape(x_label)}</text>')
+                   'font-family="sans-serif">'
+                   f'{escape(x_label, quote=False)}</text>')
     if y_label:
         cx, cy = 16, top + plot_h / 2
         out.append(f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
                    f'font-size="13" font-family="sans-serif" '
                    f'transform="rotate(-90 {cx} {cy:.1f})">'
-                   f'{escape(y_label)}</text>')
+                   f'{escape(y_label, quote=False)}</text>')
 
     for i, s in enumerate(series):
         color = s.color or PALETTE[i % len(PALETTE)]
@@ -136,7 +138,8 @@ def line_chart(series, *, title: str = "", x_label: str = "",
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
                    f'y2="{ly - 4}" stroke="{color}" stroke-width="2"{dash}/>')
         out.append(f'<text x="{lx + 28}" y="{ly}" font-size="12" '
-                   f'font-family="sans-serif">{escape(s.label)}</text>')
+                   'font-family="sans-serif">'
+                   f'{escape(s.label, quote=False)}</text>')
 
     out.append("</svg>")
     return "\n".join(out)

@@ -58,6 +58,49 @@ def test_pairs_medians_quartiles_and_traced_figures(tmp_path):
     assert any("grid-workers2" in spot for spot in data["blind_spots"])
 
 
+def test_north_star_wall_times_with_their_repeats(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_result(parent, "grid-serial", 1, 0, 10.0)
+    write_result(change, "grid-serial", 1, 0, 9.0)
+    common = ["--parent", str(parent), "--change", str(change),
+              "--parent-ref", "a", "--change-ref", "b", "--title", "t"]
+    out = tmp_path / "BENCH.json"
+    assert entry.main([*common, "--out", str(out), "--grid-wall", "128",
+                       "96", "--grid-repeats", "2", "--tier1-wall", "270.5",
+                       "240"]) == 0
+    star = json.loads(out.read_text(encoding="utf-8"))["north_star"]
+    assert set(star) == {"default_grid_wall_s", "tier1_wall_s"}
+    grid = star["default_grid_wall_s"]
+    assert (grid["parent"], grid["change"], grid["repeats"]) == (128, 96, 2)
+    assert grid["ratio"] == 0.75
+    assert grid["statistic"] == "minimum over repeats"
+    assert "segact grid" in grid["what"]
+    tier1 = star["tier1_wall_s"]
+    assert (tier1["parent"], tier1["change"], tier1["repeats"]) == \
+        (270.5, 240, 1)
+
+    bare = tmp_path / "bare.json"
+    assert entry.main([*common, "--out", str(bare)]) == 0
+    assert json.loads(bare.read_text(encoding="utf-8"))["north_star"] == {}
+
+
+@pytest.mark.parametrize("bad", [["--grid-wall", "10"],
+                                 ["--grid-wall", "10", "-1"],
+                                 ["--tier1-wall", "0", "5"],
+                                 ["--tier1-wall", "5", "nan"],
+                                 ["--grid-wall", "1", "2", "--grid-repeats",
+                                  "0"],
+                                 ["--tier1-repeats", "1.5"]])
+def test_bad_north_star_inputs_rejected(tmp_path, capsys, bad):
+    with pytest.raises(SystemExit) as info:
+        entry.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                    "--parent-ref", "a", "--change-ref", "b", "--title",
+                    "t", "--out", str(tmp_path / "out.json"), *bad])
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_no_common_runs_is_an_error(tmp_path, capsys):
     write_result(tmp_path / "parent", "metrics-large", 1, 0, 1.0)
     (tmp_path / "change").mkdir()

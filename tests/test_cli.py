@@ -1,13 +1,19 @@
 """End-to-end runs of every CLI subcommand."""
+import concurrent.futures
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segact
 from segact import (best_threshold_dice, calibration_gap, clamp_probability,
                     nll, reliability)
 from segact.cli import main
@@ -47,6 +53,19 @@ def tiny_config_file(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY_CONFIG)
     return path
+
+
+def test_import_leaves_network_and_process_pool_modules_unloaded():
+    # The CLI starts in tens of milliseconds: no module it imports pulls
+    # in urllib's, ssl's or the process pool's import chains.
+    unwanted = ("urllib.request", "ssl", "concurrent.futures.process")
+    code = (f"import sys, segact.cli; print([m for m in {unwanted!r} "
+            f"if m in sys.modules])")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(segact.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout == "[]\n"
 
 
 class TestDomains:
@@ -332,7 +351,8 @@ class TestGridAndReport:
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool started")
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
         monkeypatch.setattr(harness, "_run_cell", no_pool)
         code, out, err = run_cli_failing(
             "grid", "--config", str(tiny_config_file), "--out",

@@ -95,6 +95,15 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             experiment_from_config({"workers": str(workers)})
 
+    def test_train_seed_rejected(self):
+        # Each cell seeds itself from ExperimentConfig.seed; a train seed
+        # would silently do nothing.
+        with pytest.raises(ValueError) as info:
+            tiny_config(train=TrainConfig(max_epochs=6, seed=4))
+        message = str(info.value)
+        assert "ExperimentConfig.seed" in message and "\n" not in message
+        assert tiny_config(seed=4).train.seed == TrainConfig.seed
+
     def test_names_resolve_to_registry_names(self):
         cfg = tiny_config(activations=("Sigmoid", "probit", "HardTanh"),
                           losses=("Soft_Dice", "BCE"))

@@ -10,6 +10,7 @@ from oracles import (backward_reference, finite_difference, flatten_layers,
 from segact import (TrainConfig, adam_init, adam_step, backward, forward,
                     init_layers, make_activation, make_loss, train_network)
 from segact.activations import CLAMP_HI, CLAMP_LO
+from segact.network import STEP_BLOCK_ROWS, _predict_probabilities
 
 ALL_COMBOS = [(a, l)
               for a in ("cdf", "sigmoid", "isqrt", "arctan", "softsign",
@@ -99,16 +100,48 @@ class TestForward:
                                    forward_bruteforce(layers, X),
                                    rtol=1e-12)
 
-    def test_bitwise_equal_to_out_of_place_form(self):
-        # The in-place passes do the same operations in the same order.
-        rng = np.random.default_rng(4)
-        layers = init_layers([3, 9, 5, 1], 2)
-        X = rng.normal(size=(300, 3))
+    @staticmethod
+    def out_of_place(layers, X):
         a = X
         for w, b in layers[:-1]:
             a = np.maximum(a @ w.T + b, 0.0)
         w, b = layers[-1]
-        np.testing.assert_array_equal(forward(layers, X), (a @ w.T + b)[:, 0])
+        return (a @ w.T + b)[:, 0]
+
+    def test_bitwise_equal_to_out_of_place_form(self):
+        # The blocked in-place passes do the same operations in the same
+        # order: fewer rows than a block, a one-row tail, two blocks and
+        # a 37-row tail, and a single row; with and without a workspace,
+        # which is reused across row counts.
+        rng = np.random.default_rng(4)
+        for sizes in ([3, 9, 5, 1], [3, 64, 1]):
+            layers = init_layers(sizes, 2)
+            workspace = {}
+            for n in (300, STEP_BLOCK_ROWS + 1,
+                      2 * STEP_BLOCK_ROWS + 37, 1, 300):
+                X = rng.normal(size=(n, 3))
+                want = self.out_of_place(layers, X)
+                np.testing.assert_array_equal(forward(layers, X), want)
+                np.testing.assert_array_equal(
+                    forward(layers, X, workspace), want)
+
+    def test_predict_bitwise_equal_to_out_of_place_form(self):
+        # The trainer's validation predict: a 40-image stack of 32 x 32
+        # images, 20 whole blocks.
+        rng = np.random.default_rng(11)
+        images = rng.normal(size=(40, 1024, 3))
+        layers = init_layers([3, 64, 1], 8)
+        logits = self.out_of_place(layers, images.reshape(-1, 3))
+        workspace = {}
+        for name in ("sigmoid", "linear"):
+            activation = make_activation(name)
+            z = logits.reshape(40, 1024)
+            want = np.clip(activation(
+                z, bounds=activation.evaluation_bounds(z)), CLAMP_LO, CLAMP_HI)
+            for ws in (None, workspace, workspace):
+                np.testing.assert_array_equal(
+                    _predict_probabilities(layers, images, activation, ws),
+                    want)
 
     def test_dimension_mismatch(self):
         layers = init_layers([3, 4, 1], 0)

@@ -42,6 +42,15 @@ class TestLineChart:
                                title="x < y")
         parse(chart)  # must stay well-formed XML
 
+    def test_escaped_text_is_unchanged(self):
+        text = """a & b < c > d " e ' f"""
+        chart = svg.line_chart([svg.Series(text, np.arange(2.0),
+                                           np.arange(2.0))], title=text)
+        assert chart.count(
+            """a &amp; b &lt; c &gt; d " e ' f""") == 2
+        texts = [t.text for t in parse(chart).iter(f"{SVG_NS}text")]
+        assert texts.count(text) == 2
+
     def test_write_appends_newline(self, tmp_path):
         path = tmp_path / "c.svg"
         svg.write(path, svg.line_chart([svg.Series("s", [0, 1], [0, 1])]))
